@@ -1,7 +1,6 @@
 // Ablation A12 — sharded sliding-window sampling over realistic wires:
-// the end-to-end scenario PR 5 unlocks (validity-aware query merge +
-// ShardRouter-partitioned sliding coordinators + the ShardedEngine's
-// lockstep mode on net::SimNetwork).
+// validity-aware query merge + ShardRouter-partitioned sliding
+// coordinators on net::SimNetwork.
 //
 // The workload is Section 5.3's slotted construction (per-slot arrivals
 // to uniformly random sites). For each (protocol, wire, shards) point
@@ -19,13 +18,7 @@
 //     make it slightly lower;
 //   * the RoutedSite ring-lookup cache hit rate and the per-shard
 //     message balance.
-//
-// With --threads > 1 the sharded rows exercise lockstep waves on the
-// lossy wire (traces stay bit-identical to serial; the determinism
-// suite enforces that — here it just changes wall clock).
 #include "bench_common.h"
-
-#include <set>
 
 #include "sim/sources.h"
 
@@ -44,8 +37,6 @@ struct PointResult {
   double agree = 100.0;
   double route_hit = -1.0;
   double balance = 1.0;
-  const char* engine = "?";
-  const char* mode = "?";  ///< Engine::mode_reason of the sharded run
 };
 
 }  // namespace
@@ -75,7 +66,7 @@ int main(int argc, char** argv) {
   bench::banner("Ablation A12: sharded sliding windows over the wire", args);
   std::cout << "k=" << k << ", slots=" << slots << ", per-slot=" << per_slot
             << ", w=" << window << ", domain=" << domain << ", s=" << s
-            << ", threads=" << args.num_threads << "\n";
+            << "\n";
 
   // One fixed slotted stream: every grid point replays it exactly.
   std::vector<std::vector<std::pair<sim::NodeId, std::uint64_t>>> stream;
@@ -113,7 +104,6 @@ int main(int argc, char** argv) {
     config.seed = args.seed;
     config.network = wire.config;
     config.num_shards = num_shards;
-    config.num_threads = num_shards > 1 ? args.num_threads : 1;
     return config;
   };
 
@@ -125,8 +115,6 @@ int main(int argc, char** argv) {
     for (std::uint64_t run = 0; run < args.runs; ++run) {
       auto reference = make_system(make_config(wire, 1));
       auto sharded = make_system(make_config(wire, num_shards));
-      result.engine = sharded->runner().name();
-      result.mode = sharded->runner().mode_reason();
       std::uint64_t agree = 0;
       double seconds = 0.0;
       for (sim::Slot t = 0; t < slots; ++t) {
@@ -177,10 +165,8 @@ int main(int argc, char** argv) {
   };
 
   for (const Protocol& protocol : protocols) {
-    util::Table table({"wire", "shards", "engine", "Marr/s", "msgs",
-                       "msgs/arrival", "agree%", "route hit%",
-                       "shard max/min"});
-    std::set<std::string> modes;  // make_engine decisions seen this sweep
+    util::Table table({"wire", "shards", "Marr/s", "msgs", "msgs/arrival",
+                       "agree%", "route hit%", "shard max/min"});
     for (const Wire& wire : wires) {
       for (const std::uint64_t num_shards : shards_sweep) {
         PointResult r;
@@ -198,9 +184,8 @@ int main(int argc, char** argv) {
               },
               wire, static_cast<std::uint32_t>(num_shards));
         }
-        modes.insert(r.mode);
         table.add_row(
-            {wire.name, std::to_string(num_shards), r.engine,
+            {wire.name, std::to_string(num_shards),
              util::fmt(static_cast<double>(n) / r.seconds / 1e6, 3),
              std::to_string(r.msgs),
              util::fmt(static_cast<double>(r.msgs) / static_cast<double>(n),
@@ -215,11 +200,6 @@ int main(int argc, char** argv) {
                     std::to_string(k) + ", w=" + std::to_string(window) +
                     ", s=" + std::to_string(s),
                 protocol.csv, args);
-    // Why every row landed on its engine (Engine::mode_reason) — makes
-    // a silent serial fallback visible in the bench log.
-    for (const std::string& mode : modes) {
-      std::cout << "engine mode: " << mode << "\n";
-    }
   }
   return 0;
 }

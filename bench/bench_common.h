@@ -46,10 +46,8 @@ struct CommonArgs {
   /// so CI can archive a machine-readable perf trajectory.
   bool json = false;
   hash::HashKind hash_kind = hash::HashKind::kMurmur2;
-  /// Execution-engine knobs, threaded into every facade this header
-  /// builds: >1 threads deploys on the ShardedEngine (where the
-  /// protocol allows), >1 shards consistent-hashes the coordinator.
-  std::uint32_t num_threads = 1;
+  /// Coordinator shards for every facade this header builds: >1
+  /// consistent-hashes the coordinator.
   std::uint32_t num_shards = 1;
 
   /// Stream scale for a dataset: paper scale under --full, otherwise a
@@ -73,7 +71,6 @@ inline void register_common(util::Cli& cli) {
   cli.boolean("json", "also write each table as <outdir>/<name>.json");
   cli.flag("hash", "hash function: murmur2|murmur3|splitmix|tabulation",
            "murmur2");
-  cli.flag("threads", "site worker threads (ShardedEngine when > 1)", "1");
   cli.flag("shards", "coordinator shards (consistent hashing when > 1)", "1");
 }
 
@@ -86,16 +83,8 @@ inline CommonArgs read_common(const util::Cli& cli) {
   args.outdir = cli.get("outdir");
   args.json = cli.get_bool("json");
   args.hash_kind = hash::parse_hash_kind(cli.get("hash"));
-  args.num_threads = static_cast<std::uint32_t>(cli.get_uint("threads"));
   args.num_shards = static_cast<std::uint32_t>(cli.get_uint("shards"));
   return args;
-}
-
-/// Applies the engine/sharding knobs to a facade config.
-inline void apply_engine_args(core::SystemConfig& config,
-                              const CommonArgs& args) {
-  config.num_threads = args.num_threads;
-  config.num_shards = args.num_shards;
 }
 
 /// Prints a table and writes its CSV twin (plus a JSON twin under
@@ -126,7 +115,7 @@ inline std::uint64_t run_infinite_once(
     stream::Distribution distribution, stream::Dataset dataset,
     const CommonArgs& args, std::uint64_t seed, double dominate_rate = 1.0) {
   core::SystemConfig config{sites, sample_size, args.hash_kind, seed};
-  apply_engine_args(config, args);
+  config.num_shards = args.num_shards;
   core::InfiniteSystem system(config, /*eager_threshold=*/false,
                               args.suppress_duplicates);
   auto input = stream::make_trace(dataset, args.scale(dataset), seed + 1);
@@ -142,8 +131,8 @@ inline std::uint64_t run_broadcast_once(
     stream::Distribution distribution, stream::Dataset dataset,
     const CommonArgs& args, std::uint64_t seed, double dominate_rate = 1.0) {
   core::SystemConfig config{sites, sample_size, args.hash_kind, seed};
-  // Broadcast fans replies out to every site, so the engine/sharding
-  // knobs are inert here (Deployment falls back to the serial engine).
+  // Broadcast fans replies out to every site, so it has no element
+  // partition to shard over: the sharding knob is inert here.
   baseline::BroadcastSystem system(config, args.suppress_duplicates);
   auto input = stream::make_trace(dataset, args.scale(dataset), seed + 1);
   auto source = stream::make_partitioner(distribution, *input, sites, seed + 2,
@@ -203,7 +192,6 @@ inline SlidingRunStats run_sliding_once(std::uint32_t sites, sim::Slot window,
   config.sample_size = 1;
   config.hash_kind = args.hash_kind;
   config.seed = seed;
-  config.num_threads = args.num_threads;  // sliding shards sites, not coords
   core::SlidingSystem system(config);
   auto input = stream::make_trace(dataset, args.scale(dataset), seed + 1);
   stream::SlottedFeeder source(*input, sites, per_slot, seed + 2);

@@ -64,7 +64,6 @@ int main(int argc, char** argv) {
 
   auto chaotic_config = config;
   chaotic_config.num_shards = 4;
-  chaotic_config.num_threads = 4;  // lockstep waves on the realistic wire
   chaotic_config.network.link.latency = 1.5;
   chaotic_config.network.link.jitter = 0.5;
   chaotic_config.network.link.drop_rate = 0.05;
@@ -75,10 +74,7 @@ int main(int argc, char** argv) {
   chaotic_config.observability.tracing = !trace_path.empty();
   baseline::BottomSSlidingSystem system(chaotic_config);
 
-  std::cout << "engine: " << system.runner().name() << " ("
-            << system.runner().num_threads() << " threads), shards: "
-            << system.num_shards() << ", wire horizon: "
-            << system.bus().delivery_horizon() << " slots\n";
+  std::cout << "shards: " << system.num_shards() << "\n";
 
   // The control plane: checkpoint the ensemble every w/2 slots; the
   // scripted respawn below calls recover() explicitly, so the timeout

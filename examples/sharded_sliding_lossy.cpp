@@ -6,9 +6,7 @@
 // Four coordinator shards split the element space (core::ShardRouter);
 // each site runs one protocol copy per shard, so shard j sees exactly
 // its partition's substream. The wire has latency, jitter, and loss
-// with retransmission, so the deployment lands on net::SimNetwork and —
-// with num_threads > 1 — on the ShardedEngine's lockstep mode, whose
-// traces are bit-identical to the serial engine on the same wire.
+// with retransmission, so the deployment lands on net::SimNetwork.
 // Queries go through the validity-window-aware merge layer
 // (query::SlidingValidityMerger via Deployment::sample(now)): each
 // shard's window sample is merged with per-copy expiry respected.
@@ -68,7 +66,6 @@ int main(int argc, char** argv) {
   config.window = 50;       // "the last 50 slots"
   config.seed = 7;
   config.num_shards = 4;    // consistent-hash the coordinator four ways
-  config.num_threads = 4;   // lockstep waves on the realistic wire
   config.network.link.latency = 1.5;
   config.network.link.jitter = 0.5;
   config.network.link.drop_rate = 0.05;
@@ -79,10 +76,7 @@ int main(int argc, char** argv) {
   config.observability.tracing = !trace_path.empty();
   core::SlidingSystem system(config);
 
-  std::cout << "engine: " << system.runner().name() << " ("
-            << system.runner().num_threads() << " threads), shards: "
-            << system.num_shards() << ", wire horizon: "
-            << system.bus().delivery_horizon() << " slots\n\n";
+  std::cout << "shards: " << system.num_shards() << "\n\n";
 
   // Feed 600 slots of traffic, querying the merged window sample as we
   // go. Queries are validity-aware: only tuples whose expiry is beyond

@@ -20,9 +20,7 @@
 namespace dds::baseline {
 
 /// Algorithm Broadcast (Section 5.2 comparison). The coordinator pushes
-/// every threshold change to ALL sites, so this protocol cannot run on
-/// the sharded engine (a reply fans out beyond the reporting site) —
-/// its deployments always use the serial engine.
+/// every threshold change to ALL sites.
 struct BroadcastTraits {
   using Site = BroadcastSite;
   using Coordinator = BroadcastCoordinator;
@@ -34,7 +32,6 @@ struct BroadcastTraits {
   };
   static constexpr bool kInvokeSlotBegin = false;
   static constexpr bool kShardableCoordinator = false;
-  static constexpr bool kShardableSites = false;
 
   static Shared make_shared(const core::SystemConfig& config) {
     // Same seed derivation as InfiniteSystem so head-to-head runs use
@@ -70,7 +67,6 @@ struct CentralizedTraits {
   };
   static constexpr bool kInvokeSlotBegin = false;
   static constexpr bool kShardableCoordinator = false;
-  static constexpr bool kShardableSites = true;
 
   static Shared make_shared(const core::SystemConfig& config) {
     return Shared{
@@ -102,7 +98,6 @@ struct DrsTraits {
   /// DRS tags are drawn fresh per occurrence, so there is no element
   /// space to hash-partition — single coordinator only.
   static constexpr bool kShardableCoordinator = false;
-  static constexpr bool kShardableSites = true;
 
   static Shared make_shared(const core::SystemConfig& /*config*/) {
     return Shared{};
@@ -138,7 +133,6 @@ struct FullSyncSlidingTraits {
   /// therefore the exact global window minimum — per-slot bit-identical
   /// to the unsharded coordinator.
   static constexpr bool kShardableCoordinator = true;
-  static constexpr bool kShardableSites = true;
 
   static Shared make_shared(const core::SystemConfig& config) {
     // Match SlidingSystem's hash: family member 0 with the same seed
@@ -193,7 +187,6 @@ struct BottomSSlidingTraits {
   /// the unsharded coordinator — the exactness proof test lives in
   /// tests/sliding_shard_test.cpp.
   static constexpr bool kShardableCoordinator = true;
-  static constexpr bool kShardableSites = true;
 
   static Shared make_shared(const core::SystemConfig& config) {
     // Family member 0 with SlidingSystem's derivation: head-to-head

@@ -25,13 +25,6 @@ class ForwardingSite final : public sim::StreamNode {
   void on_element(stream::Element element, sim::Slot t, net::Transport& bus) override;
   void on_message(const sim::Message& /*msg*/, net::Transport& /*bus*/) override {}
 
-  /// Stateless between arrivals (id and hash function are immutable), so
-  /// speculation snapshots are trivially empty.
-  bool speculation_capable() const noexcept override { return true; }
-  void save_speculation_state(std::vector<std::uint8_t>& /*out*/) const override {}
-  void restore_speculation_state(
-      std::span<const std::uint8_t> /*image*/) override {}
-
  private:
   sim::NodeId id_;
   sim::NodeId coordinator_;

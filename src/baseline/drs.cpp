@@ -1,7 +1,5 @@
 #include "baseline/drs.h"
 
-#include "util/bytes.h"
-
 namespace dds::baseline {
 
 DrsSite::DrsSite(sim::NodeId id, sim::NodeId coordinator, std::uint64_t seed)
@@ -25,19 +23,6 @@ void DrsSite::on_element(stream::Element element, sim::Slot /*t*/,
 
 void DrsSite::on_message(const sim::Message& msg, net::Transport& /*bus*/) {
   if (msg.type == sim::MsgType::kDrsReply) u_local_ = msg.b;
-}
-
-void DrsSite::save_speculation_state(std::vector<std::uint8_t>& out) const {
-  for (const std::uint64_t w : rng_.state()) util::put_u64(out, w);
-  util::put_u64(out, u_local_);
-}
-
-void DrsSite::restore_speculation_state(std::span<const std::uint8_t> image) {
-  std::size_t pos = 0;
-  std::array<std::uint64_t, 4> words{};
-  for (auto& w : words) w = util::get_u64(image, pos);
-  rng_.set_state(words);
-  u_local_ = util::get_u64(image, pos);
 }
 
 DrsCoordinator::DrsCoordinator(sim::NodeId id, std::size_t sample_size)

@@ -38,14 +38,6 @@ class DrsSite final : public sim::StreamNode {
   void on_message(const sim::Message& msg, net::Transport& bus) override;
   std::size_t state_size() const noexcept override { return 1; }
 
-  /// Speculation snapshots capture the RNG state words alongside the
-  /// threshold view: a rolled-back replay must draw the SAME fresh tags
-  /// it drew the first time, or the re-executed trace diverges.
-  bool speculation_capable() const noexcept override { return true; }
-  void save_speculation_state(std::vector<std::uint8_t>& out) const override;
-  void restore_speculation_state(
-      std::span<const std::uint8_t> image) override;
-
  private:
   sim::NodeId id_;
   sim::NodeId coordinator_;

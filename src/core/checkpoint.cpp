@@ -39,9 +39,8 @@ void seal(CheckpointImage& out) {
 
 std::optional<std::size_t> body_end(const CheckpointImage& image,
                                     std::uint64_t version) {
-  if (version == 1) return image.size();  // legacy: no checksum
   if (version != kVersion) return std::nullopt;
-  // v2: the last word is the checksum over everything before it. The
+  // The last word is the checksum over everything before it. The
   // smallest sealable image is [magic][version][checksum].
   if (image.size() < 24) return std::nullopt;
   const std::size_t end = image.size() - 8;

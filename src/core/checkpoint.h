@@ -20,8 +20,8 @@
 // The wire format is versioned and endian-stable (little-endian u64s).
 // Version 2 — the current writer — appends a trailing FNV-1a checksum
 // over every preceding byte, so in-flight corruption and truncation are
-// detected before any state is touched; version-1 images (no checksum)
-// still parse. Infinite-window layout:
+// detected before any state is touched. Version-1 images (no checksum)
+// are rejected like any other unknown version. Infinite-window layout:
 //   [magic u64][version u64][sample_size u64][count u64]
 //   [element u64, hash u64] * count   [u u64]   [checksum u64]
 //
@@ -73,7 +73,7 @@ using CheckpointImage = std::vector<std::uint8_t>;
 namespace ckpt {
 
 /// Format version written by every checkpoint producer in this repo.
-/// Version 2 added the trailing checksum; version-1 images still parse.
+/// Version 2 added the trailing checksum; it is the only version parsed.
 inline constexpr std::uint64_t kVersion = 2;
 
 // Image magics (ASCII tags). All five live here — including the two
@@ -102,17 +102,17 @@ std::uint64_t fnv1a(const CheckpointImage& in, std::size_t begin,
 /// exactly once, after the last body word.
 void seal(CheckpointImage& out);
 
-/// Validates `version` (1 or 2) and, for v2, the trailing checksum.
-/// Returns where the body ends — image.size() for v1, 8 bytes earlier
-/// for v2 — or nullopt for an unknown version / checksum mismatch /
-/// image too short to hold its checksum.
+/// Validates `version` (must be kVersion) and the trailing checksum.
+/// Returns where the body ends (8 bytes before the image end), or
+/// nullopt for an unknown version / checksum mismatch / image too short
+/// to hold its checksum.
 std::optional<std::size_t> body_end(const CheckpointImage& image,
                                     std::uint64_t version);
 
 }  // namespace ckpt
 
 /// Type-agnostic integrity check: the image leads with a known magic
-/// and a parsable version, and its checksum (v2) verifies. This is the
+/// and the current version, and its checksum verifies. This is the
 /// supervisor's pre-restore gate — cheap enough to run on every
 /// transferred image, catching bit-flips and truncation before any
 /// protocol-specific parse is attempted.

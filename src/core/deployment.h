@@ -6,26 +6,25 @@
 // facade class. Deployment<Traits> replaces all of them: a Traits
 // struct declares the protocol's node types, how to construct them, and
 // what execution features it supports (per-slot expiry callbacks,
-// coordinator sharding, sharded-engine site batches), and the builder
-// does the rest:
+// coordinator sharding), and the builder does the rest:
 //
 //   transport  <- net::make_transport(num_sites, num_shards, network)
 //   coordinator shards  <- Traits::make_coordinator, one per shard
 //   sites      <- Traits::make_site — wrapped in a RoutedSite when the
 //                 coordinator is sharded, so every occurrence of an
 //                 element talks to the shard that owns it
-//   engine     <- sim::make_engine (SerialEngine, or ShardedEngine when
-//                 config.num_threads > 1 and the protocol allows)
+//   engine     <- sim::SerialEngine over the sites
 //
 // One config serves every protocol: SystemConfig unifies the old
-// SystemConfig / SlidingSystemConfig pair and adds the num_shards /
-// num_threads scale knobs.
+// SystemConfig / SlidingSystemConfig pair and adds the num_shards
+// scale knob.
 #pragma once
 
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -38,10 +37,9 @@
 #include "net/factory.h"
 #include "net/transport.h"
 #include "obs/observability.h"
-#include "sim/engine.h"
+#include "sim/serial_engine.h"
 #include "sim/sources.h"
 #include "treap/dominance_set.h"
-#include "util/bytes.h"
 #include "util/rng.h"
 
 namespace dds::core {
@@ -63,14 +61,6 @@ struct SystemConfig {
   /// Coordinator shards (consistent hashing over the element space).
   /// Protocols whose Traits do not support it reject num_shards > 1.
   std::uint32_t num_shards = 1;
-  /// Site worker threads; >1 deploys on the ShardedEngine when the
-  /// protocol and transport allow (see sim::make_engine), and falls
-  /// back to the serial engine otherwise. Realistic wires with a
-  /// positive delivery horizon run the engine's lockstep mode.
-  std::uint32_t num_threads = 1;
-  /// ShardedEngine replay->worker wakeup coalescing (see
-  /// sim::EngineConfig::coalesce_wakeups; abl11 ablates it).
-  bool coalesce_wakeups = true;
   /// Hybrid-substrate migration thresholds for the sliding-window
   /// per-site candidate sets (flat ring below, pooled treap above; see
   /// treap/dominance_set.h). The defaults fit the Lemma-10 steady
@@ -95,12 +85,6 @@ struct SystemConfig {
   /// differential fuzz enforces. Appended after `elastic` for the same
   /// positional-initializer reason.
   std::uint32_t ingest_batch = 1;
-  /// Speculative-lockstep window (slots a wave may run past the
-  /// delivery-horizon certificate; see sim::EngineConfig). 0 keeps plain
-  /// lockstep. Only consulted when num_threads > 1 deploys the sharded
-  /// engine on a realistic wire; engine().mode_reason() reports what was
-  /// actually selected. Appended last for positional initializers.
-  std::uint32_t speculation_window = 0;
 };
 
 /// The sliding-window protocols share the unified config; this type
@@ -118,8 +102,7 @@ struct SlidingSystemConfig : SystemConfig {
 /// fronted by a per-site ShardCache — real streams repeat elements, so
 /// most ring lookups come out of the cache (the bench tables surface
 /// the hit rate). Coordinator replies route back by sender id. Per-slot
-/// expiry runs on every copy. A RoutedSite is driven by exactly one
-/// engine thread, so the cache needs no synchronization.
+/// expiry runs on every copy.
 template <typename Site>
 class RoutedSite final : public sim::StreamNode {
  public:
@@ -181,48 +164,6 @@ class RoutedSite final : public sim::StreamNode {
   }
 
   const ShardCache& route_cache() const noexcept { return route_cache_; }
-
-  /// Speculation snapshots: capable iff every shard copy is. The image
-  /// is the length-prefixed concatenation of the copies' images plus the
-  /// FULL route cache state — a rolled-back site re-executing against a
-  /// warmer cache would diverge the deployment.route_cache.* metrics
-  /// from the serial run.
-  bool speculation_capable() const noexcept override {
-    for (const auto& copy : copies_) {
-      if (!copy->speculation_capable()) return false;
-    }
-    return true;
-  }
-  void save_speculation_state(std::vector<std::uint8_t>& out) const override {
-    util::put_u64(out, copies_.size());
-    std::vector<std::uint8_t> scratch;
-    for (const auto& copy : copies_) {
-      scratch.clear();
-      copy->save_speculation_state(scratch);
-      util::put_u64(out, scratch.size());
-      out.insert(out.end(), scratch.begin(), scratch.end());
-    }
-    route_cache_.save_state(out);
-  }
-  void restore_speculation_state(
-      std::span<const std::uint8_t> image) override {
-    std::size_t pos = 0;
-    const std::uint64_t n = util::get_u64(image, pos);
-    if (n != copies_.size()) {
-      throw std::logic_error(
-          "RoutedSite::restore_speculation_state: copy count mismatch");
-    }
-    for (auto& copy : copies_) {
-      const std::uint64_t len = util::get_u64(image, pos);
-      if (pos + len > image.size()) {
-        throw std::out_of_range(
-            "RoutedSite::restore_speculation_state: image truncated");
-      }
-      copy->restore_speculation_state(image.subspan(pos, len));
-      pos += len;
-    }
-    route_cache_.restore_state(image.subspan(pos));
-  }
 
  private:
   const ShardRouter& router_;
@@ -315,13 +256,7 @@ class Deployment {
       }
       transport_->attach(i, stream_nodes_.back());
     }
-    sim::EngineConfig engine_config;
-    engine_config.num_threads =
-        Traits::kShardableSites ? config_.num_threads : 1;
-    engine_config.coalesce_wakeups = config_.coalesce_wakeups;
-    engine_config.speculation_window = config_.speculation_window;
-    engine_ = sim::make_engine(*transport_, stream_nodes_,
-                               Traits::kInvokeSlotBegin, engine_config);
+    engine_.emplace(*transport_, stream_nodes_, Traits::kInvokeSlotBegin);
     if (obs_->config().enabled()) bind_observability();
   }
 
@@ -338,8 +273,8 @@ class Deployment {
   net::Transport& bus() noexcept { return *transport_; }
   const net::Transport& bus() const noexcept { return *transport_; }
   /// The execution engine ("runner" is the historical name).
-  sim::Engine& runner() noexcept { return *engine_; }
-  const sim::Engine& engine() const noexcept { return *engine_; }
+  sim::SerialEngine& runner() noexcept { return *engine_; }
+  const sim::SerialEngine& engine() const noexcept { return *engine_; }
 
   /// Feeds the whole source through the deployment; returns arrivals
   /// processed. Message counts accumulate in bus().counters().
@@ -532,8 +467,7 @@ class Deployment {
   /// table (batcher buffers rebind; surviving batches flush, none
   /// strand), rebuild fresh site copies with each tuple absorbed into
   /// its new owner copy, then clear + resync every coordinator so the
-  /// merged answer is exact again before the next arrival. Serial /
-  /// lockstep engines only (num_threads == 1).
+  /// merged answer is exact again before the next arrival.
   void add_shard() { resize_shards(router_.num_shards() + 1); }
 
   /// Shrinks the deployment by its LAST shard, live (surviving shard
@@ -571,14 +505,14 @@ class Deployment {
  private:
   /// Registers every layer with the registry and hands the tracer down:
   /// transport (wire counters, delivery/flush/drop events), engine
-  /// (waves/stalls, "engine." prefix), deployment (route cache, site
+  /// (arrivals and slot, "engine." prefix), deployment (route cache, site
   /// state), and — when the protocol's node types expose them — the
   /// hybrid-substrate and pooled-sweep statistics.
   void bind_observability() {
     obs::MetricsRegistry* registry = obs_->registry();
     obs::Tracer* tracer = obs_->tracer();
     transport_->bind_observability(registry, tracer);
-    engine_->bind_observability(registry, tracer);
+    engine_->bind_observability(registry);
     if (registry == nullptr) return;
     registry->counter_fn("deployment.route_cache.hits",
                          [this] { return route_cache_hits(); });
@@ -713,12 +647,10 @@ class Deployment {
   }
 
   /// Substrate metrics are polled gauges/counter_fns — never hooks in
-  /// the substrates themselves (worker threads own them mid-wave, and
-  /// the dominance sets should not know about metrics). The registry
-  /// only reads at snapshot time, from quiesced points, so the reads
-  /// are race-free. `if constexpr` + requires keeps this generic: only
-  /// protocols whose node types expose the introspection surface get
-  /// the metrics.
+  /// the substrates themselves (the dominance sets should not know
+  /// about metrics). The registry only reads at snapshot time.
+  /// `if constexpr` + requires keeps this generic: only protocols whose
+  /// node types expose the introspection surface get the metrics.
   void bind_substrate_metrics(obs::MetricsRegistry& registry) {
     constexpr bool kMultiHybrid = requires(const Site& site) {
       site.copy(std::size_t{0}).candidates().migrations();
@@ -811,7 +743,7 @@ class Deployment {
   std::vector<std::unique_ptr<Site>> sites_;               // num_shards == 1
   std::vector<std::unique_ptr<RoutedSite<Site>>> routed_sites_;  // > 1
   std::vector<sim::StreamNode*> stream_nodes_;
-  std::unique_ptr<sim::Engine> engine_;
+  std::optional<sim::SerialEngine> engine_;
   /// Per-shard liveness (1 = coordinator attached); parallel to
   /// coordinators_.
   std::vector<std::uint8_t> alive_;

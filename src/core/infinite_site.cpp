@@ -1,7 +1,5 @@
 #include "core/infinite_site.h"
 
-#include "util/bytes.h"
-
 namespace dds::core {
 
 InfiniteWindowSite::InfiniteWindowSite(sim::NodeId id, sim::NodeId coordinator,
@@ -72,28 +70,6 @@ void InfiniteWindowSite::on_message(const sim::Message& msg, net::Transport& /*b
         known_sampled_.insert(pending_report_);
       }
     }
-  }
-}
-
-void InfiniteWindowSite::save_speculation_state(
-    std::vector<std::uint8_t>& out) const {
-  util::put_u64(out, u_local_);
-  util::put_u64(out, pending_report_);
-  util::put_u64(out, known_sampled_.size());
-  // Set order is unspecified, but the restored set is behaviorally
-  // identical: only contains()/size() are consulted, never iteration.
-  for (const stream::Element e : known_sampled_) util::put_u64(out, e);
-}
-
-void InfiniteWindowSite::restore_speculation_state(
-    std::span<const std::uint8_t> image) {
-  std::size_t pos = 0;
-  u_local_ = util::get_u64(image, pos);
-  pending_report_ = util::get_u64(image, pos);
-  const std::uint64_t n = util::get_u64(image, pos);
-  known_sampled_.clear();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    known_sampled_.insert(util::get_u64(image, pos));
   }
 }
 

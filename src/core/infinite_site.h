@@ -85,16 +85,6 @@ class InfiniteWindowSite final : public sim::StreamNode {
     pending_report_ = 0;
   }
 
-  /// Speculation snapshots: the behavioral state is the threshold view,
-  /// the pending report, and the suppression set (order-independent —
-  /// only contains()/size() are ever consulted). The hash function is
-  /// immutable and hash_scratch_ is rebuilt per batch, so neither is
-  /// captured.
-  bool speculation_capable() const noexcept override { return true; }
-  void save_speculation_state(std::vector<std::uint8_t>& out) const override;
-  void restore_speculation_state(
-      std::span<const std::uint8_t> image) override;
-
  private:
   sim::NodeId id_;
   sim::NodeId coordinator_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/bytes.h"
 #include "util/rng.h"
 
 namespace dds::core {
@@ -90,37 +89,6 @@ std::uint32_t ShardCache::owner(const ShardRouter& router, stream::Element e) {
 
 void ShardCache::clear() {
   for (Entry& e : ways_) e.valid = false;
-}
-
-void ShardCache::save_state(std::vector<std::uint8_t>& out) const {
-  util::put_u64(out, ways_.size());
-  for (const Entry& e : ways_) {
-    util::put_u64(out, e.element);
-    util::put_u64(out, (std::uint64_t{e.shard} << 1) | (e.valid ? 1 : 0));
-  }
-  for (const std::uint8_t m : mru_) out.push_back(m);
-  util::put_u64(out, hits_);
-  util::put_u64(out, lookups_);
-}
-
-void ShardCache::restore_state(std::span<const std::uint8_t> image) {
-  std::size_t pos = 0;
-  const std::uint64_t n = util::get_u64(image, pos);
-  if (n != ways_.size()) {
-    throw std::logic_error("ShardCache::restore_state: geometry mismatch");
-  }
-  for (Entry& e : ways_) {
-    e.element = util::get_u64(image, pos);
-    const std::uint64_t packed = util::get_u64(image, pos);
-    e.shard = static_cast<std::uint32_t>(packed >> 1);
-    e.valid = (packed & 1) != 0;
-  }
-  if (pos + mru_.size() > image.size()) {
-    throw std::out_of_range("ShardCache::restore_state: image truncated");
-  }
-  for (std::uint8_t& m : mru_) m = image[pos++];
-  hits_ = util::get_u64(image, pos);
-  lookups_ = util::get_u64(image, pos);
 }
 
 double ShardRouter::disagreement(const ShardRouter& other,

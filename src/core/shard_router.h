@@ -102,14 +102,6 @@ class ShardCache {
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t lookups() const noexcept { return lookups_; }
 
-  /// Full-state save/restore for speculation snapshots (RoutedSite).
-  /// The whole cache — ways, MRU bits, and statistics — must round-trip:
-  /// a rolled-back site that re-executed against a warmer cache would
-  /// report different hit counts than a serial run. Geometry (entry
-  /// count) is fixed per instance, so only contents are serialized.
-  void save_state(std::vector<std::uint8_t>& out) const;
-  void restore_state(std::span<const std::uint8_t> image);
-
  private:
   struct Entry {
     stream::Element element = 0;

@@ -22,7 +22,7 @@
 //   through verify_checkpoint_image, then restore_into the fresh
 //   coordinator. Each failed attempt is retried with exponential
 //   backoff (base << attempt, capped), accounted in simulated slots so
-//   the recovery-latency bench sees the cost without the lockstep sim
+//   the recovery-latency bench sees the cost without the simulation
 //   actually idling. After `max_restore_attempts` failures the
 //   supervisor degrades gracefully: the shard comes back EMPTY and is
 //   rebuilt from the sites' live state alone. Either way recovery ends

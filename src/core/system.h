@@ -2,8 +2,8 @@
 // core::Deployment builder instantiated with a small Traits struct that
 // names the protocol's node types and constructor recipe. Examples,
 // tests, and every bench binary build on these instead of repeating the
-// plumbing. SystemConfig (including the num_shards / num_threads scale
-// knobs) lives in core/deployment.h.
+// plumbing. SystemConfig (including the num_shards scale knob) lives
+// in core/deployment.h.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,6 @@ struct InfiniteTraits {
   };
   static constexpr bool kInvokeSlotBegin = false;
   static constexpr bool kShardableCoordinator = true;
-  static constexpr bool kShardableSites = true;
 
   static Shared make_shared(const SystemConfig& config) {
     return Shared{
@@ -85,7 +84,6 @@ struct WithReplacementTraits {
   };
   static constexpr bool kInvokeSlotBegin = false;
   static constexpr bool kShardableCoordinator = true;
-  static constexpr bool kShardableSites = true;
 
   static Shared make_shared(const SystemConfig& config) {
     return Shared{hash::HashFamily(config.hash_kind,
@@ -147,7 +145,6 @@ struct SlidingTraits {
   /// bottom-s window protocols (baseline_system.h) shard with full
   /// per-slot exactness.
   static constexpr bool kShardableCoordinator = true;
-  static constexpr bool kShardableSites = true;
 
   static Shared make_shared(const SystemConfig& config) {
     return Shared{hash::HashFamily(config.hash_kind,

@@ -1,7 +1,5 @@
 #include "core/with_replacement.h"
 
-#include "util/bytes.h"
-
 namespace dds::core {
 
 WithReplacementSite::WithReplacementSite(sim::NodeId id,
@@ -45,37 +43,6 @@ void WithReplacementSite::on_element_batch(
 
 void WithReplacementSite::on_message(const sim::Message& msg, net::Transport& bus) {
   if (msg.instance < copies_.size()) copies_[msg.instance].on_message(msg, bus);
-}
-
-void WithReplacementSite::save_speculation_state(
-    std::vector<std::uint8_t>& out) const {
-  util::put_u64(out, copies_.size());
-  std::vector<std::uint8_t> scratch;
-  for (const auto& copy : copies_) {
-    scratch.clear();
-    copy.save_speculation_state(scratch);
-    util::put_u64(out, scratch.size());  // length prefix per copy
-    out.insert(out.end(), scratch.begin(), scratch.end());
-  }
-}
-
-void WithReplacementSite::restore_speculation_state(
-    std::span<const std::uint8_t> image) {
-  std::size_t pos = 0;
-  const std::uint64_t n = util::get_u64(image, pos);
-  if (n != copies_.size()) {
-    throw std::logic_error(
-        "WithReplacementSite::restore_speculation_state: copy count mismatch");
-  }
-  for (auto& copy : copies_) {
-    const std::uint64_t len = util::get_u64(image, pos);
-    if (pos + len > image.size()) {
-      throw std::out_of_range(
-          "WithReplacementSite::restore_speculation_state: image truncated");
-    }
-    copy.restore_speculation_state(image.subspan(pos, len));
-    pos += len;
-  }
 }
 
 WithReplacementCoordinator::WithReplacementCoordinator(

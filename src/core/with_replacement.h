@@ -31,13 +31,6 @@ class WithReplacementSite final : public sim::StreamNode {
   void on_message(const sim::Message& msg, net::Transport& bus) override;
   std::size_t state_size() const noexcept override { return copies_.size(); }
 
-  /// Speculation snapshots delegate to the s independent copies (each a
-  /// capable InfiniteWindowSite); hash_scratch_ is per-batch scratch.
-  bool speculation_capable() const noexcept override { return true; }
-  void save_speculation_state(std::vector<std::uint8_t>& out) const override;
-  void restore_speculation_state(
-      std::span<const std::uint8_t> image) override;
-
  private:
   std::vector<InfiniteWindowSite> copies_;
   std::vector<std::uint64_t> hash_scratch_;  ///< copy-major, copies x batch

@@ -26,13 +26,6 @@ class LinkModel {
   virtual ~LinkModel() = default;
   virtual LinkFate transmit(const sim::Message& msg,
                             util::Xoshiro256StarStar& rng) = 0;
-
-  /// A lower bound on the delay any transmit() can report: no attempt is
-  /// ever delivered less than min_delay() slots after it was put on the
-  /// link. The ShardedEngine's lockstep mode uses this as its wave
-  /// barrier (net::Transport::delivery_horizon()); a model whose delay
-  /// can reach zero must return 0.0.
-  virtual double min_delay() const noexcept = 0;
 };
 
 /// Constant one-way delay; never drops.
@@ -41,7 +34,6 @@ class FixedLatencyLink final : public LinkModel {
   explicit FixedLatencyLink(double latency) : latency_(latency) {}
   LinkFate transmit(const sim::Message& msg,
                     util::Xoshiro256StarStar& rng) override;
-  double min_delay() const noexcept override { return latency_; }
 
  private:
   double latency_;
@@ -54,7 +46,6 @@ class UniformJitterLink final : public LinkModel {
       : latency_(latency), width_(width) {}
   LinkFate transmit(const sim::Message& msg,
                     util::Xoshiro256StarStar& rng) override;
-  double min_delay() const noexcept override { return latency_; }
 
  private:
   double latency_;
@@ -69,9 +60,6 @@ class NormalJitterLink final : public LinkModel {
       : latency_(latency), stddev_(stddev) {}
   LinkFate transmit(const sim::Message& msg,
                     util::Xoshiro256StarStar& rng) override;
-  /// The clamp lets a deep-negative variate land at zero delay, so no
-  /// positive bound exists.
-  double min_delay() const noexcept override { return 0.0; }
 
  private:
   double latency_;
@@ -87,9 +75,6 @@ class DropLink final : public LinkModel {
       : drop_rate_(drop_rate), inner_(std::move(inner)) {}
   LinkFate transmit(const sim::Message& msg,
                     util::Xoshiro256StarStar& rng) override;
-  /// Loss only delays delivery further (retransmission waits a strictly
-  /// positive timeout), so the inner bound stands.
-  double min_delay() const noexcept override { return inner_->min_delay(); }
 
  private:
   double drop_rate_;
@@ -104,7 +89,6 @@ class ReorderLink final : public LinkModel {
       : rate_(rate), extra_(extra), inner_(std::move(inner)) {}
   LinkFate transmit(const sim::Message& msg,
                     util::Xoshiro256StarStar& rng) override;
-  double min_delay() const noexcept override { return inner_->min_delay(); }
 
  private:
   double rate_;

@@ -30,19 +30,6 @@ void SimNetwork::set_link_model(sim::NodeId from, sim::NodeId to,
   link_overrides_[link_key(from, to)] = std::move(model);
 }
 
-double SimNetwork::delivery_horizon() const noexcept {
-  double horizon = default_link_->min_delay();
-  for (const auto& [key, model] : link_overrides_) {
-    horizon = std::min(horizon, model->min_delay());
-  }
-  return horizon;
-}
-
-double SimNetwork::next_delivery_time() const noexcept {
-  return queue_.empty() ? std::numeric_limits<double>::infinity()
-                        : queue_.top().time;
-}
-
 void SimNetwork::clear_link_model(sim::NodeId from, sim::NodeId to) {
   link_overrides_.erase(link_key(from, to));
 }

@@ -52,19 +52,6 @@ class SimNetwork final : public Transport {
   void drain() override;
   void finish() override;
 
-  /// Minimum flight time across every link model in play (default +
-  /// overrides): a positive value certifies no send can be delivered
-  /// within that many slots, which is what the ShardedEngine's lockstep
-  /// mode needs for its wave barrier. Zero-latency or normal-jitter
-  /// links report 0 (no positive bound) and keep lockstep off.
-  double delivery_horizon() const noexcept override;
-
-  /// Earliest scheduled event (delivery or retransmission), or
-  /// +infinity with an empty queue. Batched reports still buffering are
-  /// excluded: they only become events at a flush, which happens at
-  /// clock advances and always lands at least delivery_horizon() later.
-  double next_delivery_time() const noexcept override;
-
   /// Overrides the wire model of the directed link from -> to. Links
   /// without an override use the model NetworkConfig::link describes.
   /// Retransmission policy (timeout, attempt cap) stays global.

@@ -3,7 +3,7 @@
 // Both concrete transports move every message through the kernel on
 // 127.0.0.1 sockets — real sendto/recv, real file descriptors — while
 // implementing the exact net::Transport contract the in-process wires
-// satisfy, so make_engine/Deployment run over them with zero protocol
+// satisfy, so SerialEngine/Deployment run over them with zero protocol
 // changes. The shared base owns everything that is not socket-flavored:
 //
 //   * Batcher integration copied move-for-move from SimNetwork: send()
@@ -36,7 +36,7 @@
 // to remote nodes go over the wire to peer addresses; frames arriving
 // from remote nodes bypass the token queue (there is no global order
 // across processes — per-link FIFO order still holds) and deliver on
-// receipt. Only all-local transports claim synchronous().
+// receipt.
 #pragma once
 
 #include <cstdint>
@@ -109,8 +109,6 @@ class SocketTransport : public Transport {
   void finish() override;
 
   void flush_shard(std::uint32_t shard) override;
-
-  bool synchronous() const noexcept override { return all_local_; }
 
   /// Nothing shipped is undelivered, nothing is buffered, every link
   /// has acknowledged all data: the transport may be abandoned without

@@ -1,6 +1,5 @@
 #include "net/transport.h"
 
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -9,10 +8,6 @@
 #include "sim/node.h"
 
 namespace dds::net {
-
-double Transport::next_delivery_time() const noexcept {
-  return std::numeric_limits<double>::infinity();
-}
 
 BusCounters BusCounters::operator-(const BusCounters& rhs) const noexcept {
   BusCounters out;
@@ -97,20 +92,12 @@ void Transport::deliver(const sim::Message& msg) {
   if (node == nullptr) {
     throw std::logic_error("Transport::deliver: message to unattached node");
   }
-  delivering_at_ = trace_time();
   if (tracer_ != nullptr) {
-    // Both engines call deliver() on the main/replay thread in the same
-    // global order, so these instants are deterministic across engines.
-    tracer_->instant("net", sim::msg_type_name(msg.type), delivering_at_,
+    tracer_->instant("net", sim::msg_type_name(msg.type), trace_time(),
                      msg.to,
                      {{"from", static_cast<double>(msg.from)},
                       {"instance", static_cast<double>(msg.instance)}});
   }
-  // The sink interposes after accounting/tracing: the wire saw the
-  // delivery; the sink only decides whether the node is dispatched now
-  // (false) or the delivery is consumed elsewhere, e.g. deferred into
-  // the speculative engine's playout queue (true).
-  if (sink_ != nullptr && sink_->on_delivery(msg, delivering_at_)) return;
   node->on_message(msg, *this);
 }
 

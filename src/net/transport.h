@@ -60,22 +60,6 @@ struct BusCounters {
   BusCounters operator-(const BusCounters& rhs) const noexcept;
 };
 
-/// Interposes on deliveries before they reach the attached node. The
-/// speculative lockstep engine installs one to defer mid-wave deliveries
-/// into its playout queue instead of letting them interrupt a running
-/// wave. The sink runs AFTER receive accounting and tracing (the wire
-/// observed the delivery either way) and decides only who consumes it.
-class DeliverySink {
- public:
-  virtual ~DeliverySink() = default;
-
-  /// Called for every delivery, with `at` the transport-time the message
-  /// lands (the same timestamp stamped onto trace events). Return true
-  /// to consume the message (the attached node is NOT dispatched);
-  /// return false to let normal dispatch proceed.
-  virtual bool on_delivery(const sim::Message& msg, double at) = 0;
-};
-
 /// Abstract wire. Owns the audit counters and the node attachment table;
 /// concrete transports decide when (and whether) a sent message arrives.
 class Transport {
@@ -100,30 +84,6 @@ class Transport {
   bool is_coordinator(sim::NodeId id) const noexcept {
     return id >= num_sites_ && id < num_sites_ + num_coordinators_;
   }
-
-  /// True when a send's full cascade (delivery, replies, their
-  /// deliveries) completes within the same drain() — the paper's
-  /// zero-delay wire. The ShardedEngine's run-ahead fast path requires
-  /// this; non-synchronous transports deploy its lockstep mode instead
-  /// when delivery_horizon() is positive.
-  virtual bool synchronous() const noexcept { return false; }
-
-  /// A strictly positive lower bound, in slots, on the flight time of
-  /// every message sent from now on: a send() at time t has delivery
-  /// time >= t + delivery_horizon(), i.e. delivery strictly before the
-  /// horizon is impossible (delivery exactly AT t + horizon can and
-  /// does happen — fixed-latency links always deliver there). 0.0
-  /// means "no positive bound exists" (zero-latency links, or a
-  /// synchronous transport where the question is moot). The
-  /// ShardedEngine's lockstep mode sizes its waves STRICTLY below the
-  /// horizon, so all deliveries land at wave barriers and site work
-  /// inside a wave cannot be interrupted.
-  virtual double delivery_horizon() const noexcept { return 0.0; }
-
-  /// Timestamp of the earliest already-scheduled delivery or
-  /// retransmission event, or +infinity when nothing is in flight.
-  /// Lockstep wave planning caps a wave just short of this.
-  virtual double next_delivery_time() const noexcept;
 
   /// Current slot, maintained by the Runner. The paper's model has all
   /// nodes time-synchronized (Chapter 2), so the coordinator may read
@@ -203,14 +163,6 @@ class Transport {
     tap_ = std::move(tap);
   }
 
-  /// Installs (or, with nullptr, removes) the delivery interposer. At
-  /// most one sink exists at a time; the engine owns its lifetime.
-  void set_delivery_sink(DeliverySink* sink) noexcept { sink_ = sink; }
-
-  /// Transport-time of the delivery currently being dispatched (valid
-  /// only inside deliver(), i.e. within on_message / sink callbacks).
-  double delivering_at() const noexcept { return delivering_at_; }
-
   /// Registers the wire counters (net.wire.*, proto.msgs.*, per-shard
   /// net.shard<j>.*) with `registry` and stores `tracer` for delivery
   /// instants. Either pointer may be null ("that instrument is off");
@@ -262,9 +214,7 @@ class Transport {
 
   BusCounters wire_;
   /// Non-owning; null when tracing is off. Delivery instants are emitted
-  /// in deliver(), which both engines invoke on the main/replay thread
-  /// in the same global order — so traces are deterministic across
-  /// serial and sharded-lockstep execution.
+  /// in deliver(), in delivery order.
   obs::Tracer* tracer_ = nullptr;
 
  private:
@@ -282,8 +232,6 @@ class Transport {
   obs::MetricsRegistry* registry_ = nullptr;
   std::uint32_t shard_metrics_registered_ = 0;
   std::function<void(const sim::Message&)> tap_;
-  DeliverySink* sink_ = nullptr;
-  double delivering_at_ = 0.0;
   sim::Slot now_ = 0;
 
   void register_shard_metrics();

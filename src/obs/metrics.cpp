@@ -16,24 +16,6 @@ double MetricsSnapshot::gauge_or(std::string_view name,
   return it == gauges.end() ? fallback : it->second;
 }
 
-MetricsSnapshot MetricsSnapshot::without_prefix(
-    std::string_view prefix) const {
-  MetricsSnapshot out;
-  const auto keep = [&](const std::string& name) {
-    return name.compare(0, prefix.size(), prefix) != 0;
-  };
-  for (const auto& [name, v] : counters) {
-    if (keep(name)) out.counters.emplace(name, v);
-  }
-  for (const auto& [name, v] : gauges) {
-    if (keep(name)) out.gauges.emplace(name, v);
-  }
-  for (const auto& [name, v] : histograms) {
-    if (keep(name)) out.histograms.emplace(name, v);
-  }
-  return out;
-}
-
 void MetricsRegistry::counter(std::string name, const std::uint64_t* cell) {
   counters_.emplace_back(std::move(name), cell);
 }

@@ -1,14 +1,14 @@
 // The metrics substrate of the observability layer (docs/observability.md).
 //
 // Design: PULL, not push. Components keep counting in the plain integer
-// cells they already own (BusCounters, NetStats, engine wave counters,
-// substrate migration counters, ...) and the registry holds *named
+// cells they already own (BusCounters, NetStats, the engine's arrival
+// counter, substrate migration counters, ...) and the registry holds *named
 // references* to those cells — registering a metric never changes a hot
 // path, and with observability disabled nothing is registered at all.
 // Aggregation happens at snapshot() time: every registration under the
 // same name is summed, so per-shard instances (one cell per coordinator
-// shard, one histogram per worker) stay contention-free while the
-// exported view is the deployment total.
+// shard) keep their own cells while the exported view is the deployment
+// total.
 //
 // Three instrument kinds:
 //   * counter — a monotonically increasing uint64 cell (or a callback);
@@ -22,7 +22,7 @@
 // integer sums (gauges are doubles but every producer in this repo
 // computes them from integer state), so two runs that perform the same
 // logical work produce bit-identical snapshots — the property the
-// serial-vs-sharded observability tests pin down.
+// observability determinism tests pin down.
 #pragma once
 
 #include <array>
@@ -85,12 +85,6 @@ struct MetricsSnapshot {
   std::uint64_t counter_or(std::string_view name,
                            std::uint64_t fallback = 0) const;
   double gauge_or(std::string_view name, double fallback = 0.0) const;
-
-  /// Copy with every metric whose name starts with `prefix` removed —
-  /// the determinism tests compare snapshots with the engine-internal
-  /// metrics (which legitimately differ between serial and sharded
-  /// execution) stripped.
-  MetricsSnapshot without_prefix(std::string_view prefix) const;
 
   bool empty() const noexcept {
     return counters.empty() && gauges.empty() && histograms.empty();

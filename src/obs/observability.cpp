@@ -30,18 +30,12 @@ bool Observability::write_trace(const std::filesystem::path& path) const {
 
 void Observability::sample_counters(double slot) {
   if (!registry_ || !tracer_) return;
-  // Engine-strategy metrics ride the "engine" category so that the
-  // deterministic remainder of the trace stays comparable across
-  // engines (write_chrome_json filters by category).
-  const auto category = [](const std::string& name) {
-    return name.rfind("engine.", 0) == 0 ? "engine" : "metrics";
-  };
   const MetricsSnapshot snap = registry_->snapshot();
   for (const auto& [name, value] : snap.counters) {
-    tracer_->counter(category(name), name, slot, static_cast<double>(value));
+    tracer_->counter("metrics", name, slot, static_cast<double>(value));
   }
   for (const auto& [name, value] : snap.gauges) {
-    tracer_->counter(category(name), name, slot, value);
+    tracer_->counter("metrics", name, slot, value);
   }
 }
 

@@ -24,7 +24,7 @@ struct ObservabilityConfig {
   /// histograms to it (pull-based; hot paths unchanged).
   bool metrics = false;
   /// Build a Tracer and emit slot-timestamped events (transport
-  /// deliveries, batch flushes, waves, checkpoints) in Chrome
+  /// deliveries, batch flushes, checkpoints) in Chrome
   /// trace-event JSON.
   bool tracing = false;
   /// Tracer event cap; past it events are dropped and counted.
@@ -64,10 +64,8 @@ class Observability {
 
   /// Samples every counter and gauge of the current snapshot into the
   /// tracer as 'C' (counter) events at `slot` — the polled bridge from
-  /// metrics to the trace timeline. Call from quiesced points (between
-  /// Engine::run calls, at query time): the registry reads component
-  /// state, which is only stable when no wave is in flight. No-op
-  /// unless both instruments are on.
+  /// metrics to the trace timeline. Call between engine runs or at query
+  /// time. No-op unless both instruments are on.
   void sample_counters(double slot);
 
  private:

@@ -56,7 +56,6 @@ void write_number(std::ostream& os, double v) {
 }  // namespace
 
 void Tracer::emit(TraceEvent event) {
-  std::lock_guard<std::mutex> lock(mutex_);
   if (events_.size() >= capacity_) {
     ++dropped_;
     return;
@@ -87,27 +86,21 @@ void Tracer::counter(std::string cat, std::string name, double slot,
 }
 
 std::size_t Tracer::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   return events_.size();
 }
 
 std::uint64_t Tracer::dropped_events() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   return dropped_;
 }
 
 std::vector<TraceEvent> Tracer::events() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   return events_;
 }
 
-void Tracer::write_chrome_json(std::ostream& os,
-                               std::string_view filter_out_cat) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+void Tracer::write_chrome_json(std::ostream& os) const {
   os << "{\"traceEvents\":[";
   bool first = true;
   for (const TraceEvent& e : events_) {
-    if (!filter_out_cat.empty() && e.cat == filter_out_cat) continue;
     if (!first) os << ",";
     first = false;
     os << "\n{\"cat\":";
@@ -138,14 +131,13 @@ void Tracer::write_chrome_json(std::ostream& os,
   os << "\n],\"displayTimeUnit\":\"ms\"}\n";
 }
 
-std::string Tracer::to_chrome_json(std::string_view filter_out_cat) const {
+std::string Tracer::to_chrome_json() const {
   std::ostringstream os;
-  write_chrome_json(os, filter_out_cat);
+  write_chrome_json(os);
   return os.str();
 }
 
-void Tracer::write_chrome_json_file(const std::filesystem::path& path,
-                                    std::string_view filter_out_cat) const {
+void Tracer::write_chrome_json_file(const std::filesystem::path& path) const {
   if (path.has_parent_path()) {
     std::filesystem::create_directories(path.parent_path());
   }
@@ -153,7 +145,7 @@ void Tracer::write_chrome_json_file(const std::filesystem::path& path,
   if (!os) {
     throw std::runtime_error("Tracer: cannot open " + path.string());
   }
-  write_chrome_json(os, filter_out_cat);
+  write_chrome_json(os);
 }
 
 }  // namespace dds::obs

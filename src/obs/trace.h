@@ -5,28 +5,17 @@
 // time (fractional slots — SimNetwork's event clock — map to fractional
 // milliseconds), so a trace is a pure function of the run's logical
 // execution, never of wall-clock scheduling. That is what lets the
-// observability tests demand bit-identical traces from the serial and
-// sharded engines: both emit the same events at the same virtual times
-// in the same order, because every traced code path (transport
-// deliveries, batch flushes, slot boundaries, checkpoints) runs on the
-// main/replay thread in the serial order. Engine-internal events (wave
-// barriers, stalls) carry the "engine" category and are excluded from
-// cross-engine comparisons — they describe the execution strategy, not
-// the protocol.
+// observability tests demand bit-identical traces from two runs with
+// the same seed.
 //
 // Capacity is bounded: past `capacity` events the tracer drops (and
 // counts) instead of growing without bound; dropped_events() makes the
 // truncation visible rather than silent.
-//
-// Emission is mutex-guarded so opt-in tracing from concurrent contexts
-// is safe; the deterministic categories are nevertheless only ever
-// emitted single-threaded (see above).
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -72,20 +61,15 @@ class Tracer {
   std::vector<TraceEvent> events() const;
 
   /// Renders {"traceEvents": [...]} — loadable by chrome://tracing and
-  /// Perfetto. `filter_out_cat` (optional) drops one category, which is
-  /// how the determinism tests compare protocol-level traces across
-  /// engines without the engine-strategy lane.
-  void write_chrome_json(std::ostream& os,
-                         std::string_view filter_out_cat = {}) const;
-  std::string to_chrome_json(std::string_view filter_out_cat = {}) const;
-  void write_chrome_json_file(const std::filesystem::path& path,
-                              std::string_view filter_out_cat = {}) const;
+  /// Perfetto.
+  void write_chrome_json(std::ostream& os) const;
+  std::string to_chrome_json() const;
+  void write_chrome_json_file(const std::filesystem::path& path) const;
 
  private:
   void emit(TraceEvent event);
 
   std::size_t capacity_;
-  mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;
   std::uint64_t dropped_ = 0;
 };

@@ -30,8 +30,6 @@ class Bus final : public net::Transport {
   explicit Bus(std::uint32_t num_sites, std::uint32_t num_coordinators = 1)
       : Transport(num_sites, num_coordinators) {}
 
-  bool synchronous() const noexcept override { return true; }
-
   /// Queues a message for immediate delivery and counts it.
   void send(const Message& msg) override;
 

@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
-#include <vector>
 
 #include "sim/message.h"
 
@@ -54,33 +52,6 @@ class StreamNode : public Node {
   virtual void on_slot_begin(Slot t, net::Transport& net) {
     (void)t;
     (void)net;
-  }
-
-  // ---- speculation snapshots -------------------------------------------
-  //
-  // The speculative lockstep engine runs a site past the transport's
-  // delivery horizon and rolls it back when a delivery lands inside a
-  // slot range it has already executed. Rollback restores the site from
-  // a byte snapshot taken at the wave start and re-executes its items,
-  // so the snapshot must capture EVERYTHING that influences the site's
-  // outputs: candidate state, RNG state, dedup sets, pending flags —
-  // but not scratch buffers that are rebuilt from scratch per element.
-
-  /// True when save/restore round-trip the site's complete behavioral
-  /// state. Sites that return false are never speculated past the
-  /// delivery horizon (the engine keeps plain lockstep waves).
-  virtual bool speculation_capable() const noexcept { return false; }
-
-  /// Appends a byte image of the site's behavioral state to `out`.
-  virtual void save_speculation_state(std::vector<std::uint8_t>& out) const {
-    (void)out;
-    throw std::logic_error("save_speculation_state: site not capable");
-  }
-
-  /// Restores state previously produced by save_speculation_state.
-  virtual void restore_speculation_state(std::span<const std::uint8_t> image) {
-    (void)image;
-    throw std::logic_error("restore_speculation_state: site not capable");
   }
 };
 

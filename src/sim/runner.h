@@ -1,11 +1,8 @@
-// Historical home of the simulation driver. The driver is now the
-// pluggable engine layer (sim/engine.h): the Engine interface plus
-// SerialEngine (this file's former Runner loop) and ShardedEngine
-// (multi-threaded site batches). `Runner` remains as an alias for the
-// serial engine so existing call sites keep compiling.
+// Historical home of the simulation driver, now sim::SerialEngine
+// (sim/serial_engine.h). `Runner` remains as an alias so existing call
+// sites keep compiling.
 #pragma once
 
-#include "sim/engine.h"
 #include "sim/serial_engine.h"
 
 namespace dds::sim {

@@ -13,7 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/engine.h"
+#include "sim/serial_engine.h"
 
 namespace dds::sim {
 

@@ -1,10 +1,50 @@
 #include "util/cli.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
 namespace dds::util {
+
+namespace {
+
+/// std::from_chars over the whole of `text`: nullopt unless every
+/// character was consumed and the value is representable.
+template <typename T>
+std::optional<T> from_chars_exact(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const char* expected) {
+  throw std::invalid_argument("Cli: --" + name + " expects " + expected +
+                              ", got '" + value + "'");
+}
+
+}  // namespace
+
+std::optional<std::uint64_t> parse_uint(std::string_view text,
+                                        std::uint64_t max) {
+  const auto value = from_chars_exact<std::uint64_t>(text);
+  if (!value || *value > max) return std::nullopt;
+  return value;
+}
+
+std::optional<std::int64_t> parse_int(std::string_view text) {
+  return from_chars_exact<std::int64_t>(text);
+}
+
+std::optional<double> parse_double(std::string_view text) {
+  const auto value = from_chars_exact<double>(text);
+  if (!value || !std::isfinite(*value)) return std::nullopt;
+  return value;
+}
 
 Cli& Cli::flag(std::string name, std::string help, std::string default_value) {
   specs_[std::move(name)] = Spec{std::move(help), std::move(default_value),
@@ -70,15 +110,24 @@ std::string Cli::get(const std::string& name) const {
 }
 
 std::int64_t Cli::get_int(const std::string& name) const {
-  return std::stoll(get(name));
+  const std::string value = get(name);
+  const auto parsed = parse_int(value);
+  if (!parsed) bad_value(name, value, "an integer");
+  return *parsed;
 }
 
 std::uint64_t Cli::get_uint(const std::string& name) const {
-  return std::stoull(get(name));
+  const std::string value = get(name);
+  const auto parsed = parse_uint(value);
+  if (!parsed) bad_value(name, value, "an unsigned integer");
+  return *parsed;
 }
 
 double Cli::get_double(const std::string& name) const {
-  return std::stod(get(name));
+  const std::string value = get(name);
+  const auto parsed = parse_double(value);
+  if (!parsed) bad_value(name, value, "a finite number");
+  return *parsed;
 }
 
 bool Cli::get_bool(const std::string& name) const {
@@ -91,7 +140,10 @@ std::vector<std::uint64_t> Cli::get_uint_list(const std::string& name) const {
   std::stringstream ss(get(name));
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) out.push_back(std::stoull(tok));
+    if (tok.empty()) continue;
+    const auto parsed = parse_uint(tok);
+    if (!parsed) bad_value(name, tok, "a list of unsigned integers");
+    out.push_back(*parsed);
   }
   return out;
 }

@@ -100,16 +100,6 @@ class Xoshiro256StarStar {
     return next_double() < p;
   }
 
-  /// The four state words, for exact save/restore (speculation
-  /// snapshots roll a site's RNG consumption back with its state).
-  constexpr const std::array<std::uint64_t, 4>& state() const noexcept {
-    return state_;
-  }
-  constexpr void set_state(
-      const std::array<std::uint64_t, 4>& state) noexcept {
-    state_ = state;
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

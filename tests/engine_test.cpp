@@ -1,17 +1,21 @@
-// The execution-engine determinism suite.
+// The execution-engine suite.
 //
-// The ShardedEngine's contract is bit-identical output to the
-// SerialEngine for the same config and seed: the same samples, the same
-// estimates, and the same logical message counters (total, direction,
-// per type, per node, bytes). This file holds that contract across every
-// protocol the sharded engine deploys, at several seeds, plus the
-// ShardRouter partition/coverage properties and the sharded-coordinator
-// query merge.
+// The SerialEngine's contract is replay: two runs of the same config,
+// seed and arrival list produce the same samples, estimates, logical
+// message counters (total, direction, per type, per node, bytes) and
+// full wire trace, on the zero-delay Bus and on lossy, jittered,
+// batching SimNetwork wires alike. This file holds that contract across
+// every protocol, checks that the infinite-window and with-replacement
+// answers stay exact when the wire delays, drops and retransmits, and
+// covers the ShardRouter partition/coverage properties and the
+// sharded-coordinator query merge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <set>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "baseline/baseline_system.h"
@@ -61,10 +65,12 @@ std::vector<sim::Arrival> slotted_stream(std::uint32_t sites, sim::Slot slots,
   return out;
 }
 
-/// Everything the determinism contract covers, byte for byte.
+using SamplePairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+/// Everything the replay contract covers, byte for byte. The wire
+/// statistics stay zero on the Bus.
 struct Fingerprint {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> sample;  // (elem, hash)
-  double estimate = 0.0;
+  SamplePairs sample;  // (elem, hash) or protocol-specific pairs
   std::uint64_t processed = 0;
   std::uint64_t total = 0;
   std::uint64_t site_to_coordinator = 0;
@@ -72,6 +78,12 @@ struct Fingerprint {
   std::uint64_t bytes = 0;
   std::vector<std::uint64_t> by_type;
   std::vector<std::uint64_t> sent_by;
+  std::vector<std::uint64_t> trace;  // two words per delivered message
+  std::uint64_t logical_total = 0;
+  std::uint64_t drops = 0;
+  std::uint64_t retransmissions = 0;
+  std::uint64_t lost_messages = 0;
+  std::uint64_t batches_flushed = 0;
 
   bool operator==(const Fingerprint&) const = default;
 };
@@ -80,9 +92,16 @@ template <typename System, typename SampleFn>
 Fingerprint fingerprint_run(System& system,
                             const std::vector<sim::Arrival>& arrivals,
                             SampleFn sample_fn) {
-  ListSource source(arrivals);
   Fingerprint fp;
+  system.bus().set_tap([&fp](const sim::Message& m) {
+    fp.trace.push_back((static_cast<std::uint64_t>(m.from) << 40) |
+                       (static_cast<std::uint64_t>(m.to) << 8) |
+                       static_cast<std::uint64_t>(m.type));
+    fp.trace.push_back(m.a ^ (m.b * 3) ^ (m.c * 7) ^ m.instance);
+  });
+  ListSource source(arrivals);
   fp.processed = system.run(source);
+  system.bus().set_tap(nullptr);
   fp.sample = sample_fn(system);
   const net::BusCounters& c = system.bus().counters();
   fp.total = c.total;
@@ -94,115 +113,142 @@ Fingerprint fingerprint_run(System& system,
        id < system.bus().num_sites() + system.bus().num_coordinators(); ++id) {
     fp.sent_by.push_back(system.bus().sent_by(id));
   }
+  if (const auto* wire = dynamic_cast<const net::SimNetwork*>(&system.bus())) {
+    fp.logical_total = wire->logical_counters().total;
+    fp.drops = wire->stats().drops;
+    fp.retransmissions = wire->stats().retransmissions;
+    fp.lost_messages = wire->stats().lost_messages;
+    fp.batches_flushed = wire->stats().batches_flushed;
+  }
   return fp;
 }
 
-/// Builds the system twice — serial and 4-thread sharded-engine — and
-/// expects identical fingerprints. Returns the serial fingerprint.
+/// Builds the system twice from `make_system` and expects identical
+/// fingerprints. Returns the first one for scenario-specific checks.
 template <typename MakeSystem, typename SampleFn>
-void expect_engine_identical(MakeSystem make_system, SampleFn sample_fn,
-                             const std::vector<sim::Arrival>& arrivals) {
-  auto serial = make_system(/*num_threads=*/1);
-  ASSERT_STREQ(serial->runner().name(), "serial");
-  const Fingerprint want = fingerprint_run(*serial, arrivals, sample_fn);
-
-  auto sharded = make_system(/*num_threads=*/4);
-  ASSERT_STREQ(sharded->runner().name(), "sharded");
-  ASSERT_GT(sharded->runner().num_threads(), 1u);
-  const Fingerprint got = fingerprint_run(*sharded, arrivals, sample_fn);
-
+Fingerprint expect_replay_identical(MakeSystem make_system, SampleFn sample_fn,
+                                    const std::vector<sim::Arrival>& arrivals) {
+  auto first = make_system();
+  const Fingerprint want = fingerprint_run(*first, arrivals, sample_fn);
+  auto second = make_system();
+  const Fingerprint got = fingerprint_run(*second, arrivals, sample_fn);
+  EXPECT_EQ(want.processed, arrivals.size());
+  EXPECT_FALSE(want.trace.empty());
+  EXPECT_FALSE(want.sample.empty());
   EXPECT_EQ(want, got);
+  return want;
 }
 
-constexpr std::uint32_t kSites = 13;  // not a multiple of the thread count
+SamplePairs infinite_sample(const core::InfiniteSystem& s) {
+  SamplePairs out;
+  for (const auto& e : s.sample().entries()) out.emplace_back(e.element, e.hash);
+  return out;
+}
+
+/// The sample plus the distinct-count estimate, pinned to 1e-6.
+SamplePairs infinite_sample_and_estimate(const core::InfiniteSystem& s) {
+  SamplePairs out = infinite_sample(s);
+  out.emplace_back(0, static_cast<std::uint64_t>(
+                          query::estimate_distinct(s.sample()) * 1e6));
+  return out;
+}
+
+SamplePairs with_replacement_sample(const core::WithReplacementSystem& s) {
+  SamplePairs out;
+  for (const auto e : s.sample()) out.emplace_back(e, 0);
+  return out;
+}
+
+/// Oracle: the (element, hash) pairs of the bottom-s hashes over the
+/// distinct elements of `arrivals`, in hash order.
+template <typename HashFn>
+SamplePairs exact_bottom_s(const std::vector<sim::Arrival>& arrivals,
+                           const HashFn& h, std::size_t s) {
+  std::set<std::pair<std::uint64_t, std::uint64_t>> by_hash;
+  std::unordered_set<std::uint64_t> seen;
+  for (const auto& a : arrivals) {
+    if (seen.insert(a.element).second) by_hash.emplace(h(a.element), a.element);
+  }
+  SamplePairs out;
+  for (const auto& [hv, e] : by_hash) {
+    if (out.size() == s) break;
+    out.emplace_back(e, hv);
+  }
+  return out;
+}
+
+/// The infinite-window sample in hash order, as (element, hash) pairs.
+SamplePairs sorted_by_hash(SamplePairs sample) {
+  std::sort(sample.begin(), sample.end(), [](const auto& x, const auto& y) {
+    return std::pair{x.second, x.first} < std::pair{y.second, y.first};
+  });
+  return sample;
+}
+
+constexpr std::uint32_t kSites = 13;
 constexpr std::uint64_t kSeeds[] = {1, 2, 3};
 
-TEST(ShardedEngineDeterminism, InfiniteFaithful) {
+// ------------------------------------------------- replay on the Bus --
+
+TEST(EngineReplay, InfiniteFaithful) {
   for (const std::uint64_t seed : kSeeds) {
     const auto arrivals = infinite_stream(kSites, 20000, 3000, seed * 77 + 5);
-    expect_engine_identical(
-        [&](std::uint32_t threads) {
+    expect_replay_identical(
+        [&] {
           core::SystemConfig config{kSites, 16, hash::HashKind::kMurmur2,
                                     seed};
-          config.num_threads = threads;
           return std::make_unique<core::InfiniteSystem>(config);
         },
-        [](core::InfiniteSystem& s) {
-          std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-          for (const auto& e : s.coordinator().sample().entries()) {
-            out.emplace_back(e.element, e.hash);
-          }
-          return out;
-        },
-        arrivals);
+        infinite_sample, arrivals);
   }
 }
 
-TEST(ShardedEngineDeterminism, InfiniteSuppressDuplicatesAndEstimate) {
+TEST(EngineReplay, InfiniteSuppressDuplicatesAndEstimate) {
   for (const std::uint64_t seed : kSeeds) {
     const auto arrivals = infinite_stream(kSites, 20000, 800, seed * 31 + 1);
-    // Also pins the estimator output byte-for-byte.
-    expect_engine_identical(
-        [&](std::uint32_t threads) {
+    expect_replay_identical(
+        [&] {
           core::SystemConfig config{kSites, 12, hash::HashKind::kMurmur3,
                                     seed};
-          config.num_threads = threads;
           return std::make_unique<core::InfiniteSystem>(
               config, /*eager_threshold=*/true, /*suppress_duplicates=*/true);
         },
-        [](core::InfiniteSystem& s) {
-          std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-          out.emplace_back(
-              0, static_cast<std::uint64_t>(
-                     query::estimate_distinct(s.coordinator().sample()) * 1e6));
-          for (const auto& e : s.coordinator().sample().entries()) {
-            out.emplace_back(e.element, e.hash);
-          }
-          return out;
-        },
-        arrivals);
+        infinite_sample_and_estimate, arrivals);
   }
 }
 
-TEST(ShardedEngineDeterminism, WithReplacement) {
+TEST(EngineReplay, WithReplacement) {
   for (const std::uint64_t seed : kSeeds) {
     const auto arrivals = infinite_stream(kSites, 6000, 1500, seed * 13 + 7);
-    expect_engine_identical(
-        [&](std::uint32_t threads) {
+    expect_replay_identical(
+        [&] {
           core::SystemConfig config{kSites, 8, hash::HashKind::kMurmur2, seed};
-          config.num_threads = threads;
           return std::make_unique<core::WithReplacementSystem>(config);
         },
-        [](core::WithReplacementSystem& s) {
-          std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-          for (const auto e : s.coordinator().sample()) out.emplace_back(e, 0);
-          return out;
-        },
-        arrivals);
+        with_replacement_sample, arrivals);
   }
 }
 
-TEST(ShardedEngineDeterminism, SlidingSingleAndMultiCopy) {
+TEST(EngineReplay, SlidingSingleAndMultiCopy) {
   for (const std::uint64_t seed : kSeeds) {
     for (const std::size_t s : {std::size_t{1}, std::size_t{3}}) {
       const auto arrivals =
           slotted_stream(kSites, /*slots=*/300, /*per_slot=*/6, 500,
                          seed * 101 + s);
-      expect_engine_identical(
-          [&](std::uint32_t threads) {
+      expect_replay_identical(
+          [&] {
             core::SlidingSystemConfig config;
             config.num_sites = kSites;
             config.window = 40;
             config.sample_size = s;
             config.seed = seed;
-            config.num_threads = threads;
             return std::make_unique<core::SlidingSystem>(config);
           },
           [](core::SlidingSystem& sys) {
-            std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-            const auto sample =
-                sys.coordinator().sample(sys.runner().current_slot());
-            for (const auto e : sample) out.emplace_back(e, 0);
+            SamplePairs out;
+            for (const auto e : sys.sample(sys.runner().current_slot())) {
+              out.emplace_back(e, 0);
+            }
             out.emplace_back(sys.total_site_state(), sys.max_site_state());
             return out;
           },
@@ -211,33 +257,32 @@ TEST(ShardedEngineDeterminism, SlidingSingleAndMultiCopy) {
   }
 }
 
-TEST(ShardedEngineDeterminism, CentralizedAndDrsBaselines) {
+TEST(EngineReplay, CentralizedAndDrsBaselines) {
   for (const std::uint64_t seed : kSeeds) {
     const auto arrivals = infinite_stream(kSites, 4000, 900, seed * 3 + 11);
-    expect_engine_identical(
-        [&](std::uint32_t threads) {
+    expect_replay_identical(
+        [&] {
           core::SystemConfig config{kSites, 10, hash::HashKind::kMurmur2,
                                     seed};
-          config.num_threads = threads;
           return std::make_unique<baseline::CentralizedSystem>(config);
         },
         [](baseline::CentralizedSystem& s) {
-          std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+          SamplePairs out;
           for (const auto& e : s.coordinator().sample().entries()) {
             out.emplace_back(e.element, e.hash);
           }
           return out;
         },
         arrivals);
-    expect_engine_identical(
-        [&](std::uint32_t threads) {
+    // DRS draws a fresh random tag per arrival: replay pins the site RNGs.
+    expect_replay_identical(
+        [&] {
           core::SystemConfig config{kSites, 10, hash::HashKind::kMurmur2,
                                     seed};
-          config.num_threads = threads;
           return std::make_unique<baseline::DrsSystem>(config);
         },
         [](baseline::DrsSystem& s) {
-          std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+          SamplePairs out;
           for (const auto e : s.coordinator().sample()) out.emplace_back(e, 0);
           return out;
         },
@@ -245,11 +290,10 @@ TEST(ShardedEngineDeterminism, CentralizedAndDrsBaselines) {
   }
 }
 
-TEST(ShardedEngineDeterminism, ObserverSeesIdenticalCheckpoints) {
+TEST(EngineReplay, ObserverSeesIdenticalCheckpoints) {
   const auto arrivals = infinite_stream(kSites, 5000, 700, 99);
-  auto checkpoints = [&](std::uint32_t threads) {
+  auto checkpoints = [&] {
     core::SystemConfig config{kSites, 8, hash::HashKind::kMurmur2, 4};
-    config.num_threads = threads;
     core::InfiniteSystem system(config);
     std::vector<std::uint64_t> seen;
     system.runner().set_observer(777, [&](const sim::Progress& p) {
@@ -261,56 +305,327 @@ TEST(ShardedEngineDeterminism, ObserverSeesIdenticalCheckpoints) {
     system.run(source);
     return seen;
   };
-  EXPECT_EQ(checkpoints(1), checkpoints(4));
+  const std::vector<std::uint64_t> first = checkpoints();
+  // 5000 / 777 = 6 periodic observations, then the final snapshot.
+  ASSERT_EQ(first.size(), 7u * 3);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(first[3 * i], 777u * (i + 1));
+    EXPECT_EQ(first[3 * i + 2], 0u);
+    EXPECT_LE(first[3 * i + 1], first[3 * i + 4]) << "counters went back";
+  }
+  EXPECT_EQ(first[18], arrivals.size());
+  EXPECT_EQ(first[20], 1u);
+  EXPECT_EQ(first, checkpoints());
 }
 
-TEST(ShardedEngine, BroadcastFallsBackToSerial) {
-  core::SystemConfig config{8, 8, hash::HashKind::kMurmur2, 3};
-  config.num_threads = 4;
-  baseline::BroadcastSystem system(config);
-  EXPECT_STREQ(system.runner().name(), "serial");
+TEST(EngineReplay, FingerprintSeparatesSeeds) {
+  // The replay checks above are only worth something if the fingerprint
+  // notices a different run: another protocol seed must change it.
+  const auto arrivals = infinite_stream(kSites, 8000, 2000, 41);
+  auto run_at = [&](std::uint64_t seed) {
+    core::SystemConfig config{kSites, 12, hash::HashKind::kMurmur2, seed};
+    core::InfiniteSystem system(config);
+    return fingerprint_run(system, arrivals, infinite_sample);
+  };
+  const Fingerprint a = run_at(1);
+  const Fingerprint b = run_at(2);
+  EXPECT_EQ(a.processed, b.processed);
+  EXPECT_NE(a.sample, b.sample);
+  EXPECT_NE(a.trace, b.trace);
 }
 
-TEST(ShardedEngine, PositiveHorizonWireDeploysLockstep) {
-  // A latency wire certifies a positive delivery horizon, so the
-  // sharded engine's lockstep mode takes it — no serial fallback.
-  core::SystemConfig config{8, 8, hash::HashKind::kMurmur2, 3};
-  config.num_threads = 4;
-  config.network.link.latency = 1.5;
-  core::InfiniteSystem system(config);
-  EXPECT_STREQ(system.runner().name(), "sharded");
-  EXPECT_GT(system.bus().delivery_horizon(), 0.0);
+// ------------------------------------------ replay on lossy wires ----
+
+TEST(EngineReplay, InfiniteOverLatencyJitterWire) {
+  for (const std::uint64_t seed : kSeeds) {
+    const auto arrivals = infinite_stream(kSites, 6000, 900, seed * 13 + 2);
+    expect_replay_identical(
+        [&] {
+          core::SystemConfig config{kSites, 8, hash::HashKind::kMurmur2,
+                                    seed};
+          config.network.link.latency = 0.25;
+          config.network.link.jitter_stddev = 0.5;
+          return std::make_unique<core::InfiniteSystem>(config);
+        },
+        infinite_sample_and_estimate, arrivals);
+  }
 }
 
-TEST(ShardedEngine, ZeroHorizonWireFallsBackToSerial) {
-  // Normal jitter clamps at zero delay — no positive bound exists, so
-  // lockstep is ineligible and the deployment stays serial.
-  core::SystemConfig config{8, 8, hash::HashKind::kMurmur2, 3};
-  config.num_threads = 4;
-  config.network.link.jitter_stddev = 0.5;
-  core::InfiniteSystem system(config);
-  EXPECT_STREQ(system.runner().name(), "serial");
-  EXPECT_EQ(system.bus().delivery_horizon(), 0.0);
+TEST(EngineReplay, InfiniteJitterLossRetransmit) {
+  for (const std::uint64_t seed : kSeeds) {
+    const auto arrivals = infinite_stream(kSites, 6000, 700, seed * 7 + 3);
+    const Fingerprint fp = expect_replay_identical(
+        [&] {
+          core::SystemConfig config{kSites, 8, hash::HashKind::kMurmur3,
+                                    seed};
+          config.network.link.latency = 1.5;
+          config.network.link.jitter = 0.75;
+          config.network.link.drop_rate = 0.05;
+          config.network.link.retransmit = true;
+          return std::make_unique<core::InfiniteSystem>(config);
+        },
+        infinite_sample, arrivals);
+    EXPECT_GT(fp.drops, 0u) << "wire not lossy enough to prove anything";
+    EXPECT_GT(fp.retransmissions, 0u);
+  }
 }
 
-TEST(ShardedEngine, ThreadsClampToSiteCount) {
-  core::SystemConfig config{3, 8, hash::HashKind::kMurmur2, 3};
-  config.num_threads = 16;
-  core::InfiniteSystem system(config);
-  EXPECT_STREQ(system.runner().name(), "sharded");
-  EXPECT_EQ(system.runner().num_threads(), 3u);
+TEST(EngineReplay, SlidingOverLossyBatchingWire) {
+  for (const std::uint64_t seed : kSeeds) {
+    const auto arrivals =
+        slotted_stream(kSites, /*slots=*/200, /*per_slot=*/5, 300, seed * 7);
+    const Fingerprint fp = expect_replay_identical(
+        [&] {
+          core::SlidingSystemConfig config;
+          config.num_sites = kSites;
+          config.window = 30;
+          config.sample_size = 2;
+          config.seed = seed;
+          config.network.link.latency = 1.5;
+          config.network.link.jitter = 0.75;
+          config.network.link.drop_rate = 0.05;
+          config.network.batch_interval = 3;
+          return std::make_unique<core::SlidingSystem>(config);
+        },
+        [](core::SlidingSystem& sys) {
+          SamplePairs out;
+          for (const auto e : sys.sample(sys.runner().current_slot())) {
+            out.emplace_back(e, 0);
+          }
+          return out;
+        },
+        arrivals);
+    EXPECT_GT(fp.drops, 0u);
+    EXPECT_GT(fp.batches_flushed, 0u);
+  }
 }
 
-TEST(ShardedEngine, EmptyStreamAndAdvance) {
+TEST(EngineReplay, WithReplacementBatchedWire) {
+  for (const std::uint64_t seed : kSeeds) {
+    const auto arrivals = infinite_stream(kSites, 4000, 1200, seed * 13 + 7);
+    const Fingerprint fp = expect_replay_identical(
+        [&] {
+          core::SystemConfig config{kSites, 6, hash::HashKind::kMurmur2, seed};
+          config.network.link.latency = 1.0;
+          config.network.batch_interval = 3;
+          config.network.batch_max_msgs = 8;
+          return std::make_unique<core::WithReplacementSystem>(config);
+        },
+        with_replacement_sample, arrivals);
+    EXPECT_GT(fp.batches_flushed, 0u);
+  }
+}
+
+TEST(EngineReplay, DrsOverSubSlotLatencyWire) {
+  for (const std::uint64_t seed : kSeeds) {
+    const auto arrivals = infinite_stream(kSites, 5000, 800, seed * 3 + 11);
+    expect_replay_identical(
+        [&] {
+          core::SystemConfig config{kSites, 10, hash::HashKind::kMurmur2,
+                                    seed};
+          config.network.link.latency = 0.25;
+          return std::make_unique<baseline::DrsSystem>(config);
+        },
+        [](baseline::DrsSystem& s) {
+          SamplePairs out;
+          for (const auto e : s.coordinator().sample()) out.emplace_back(e, 0);
+          return out;
+        },
+        arrivals);
+  }
+}
+
+TEST(EngineReplay, ShardedRoutedSitesWithRouteCacheMetrics) {
+  // Routed sites keep a route cache whose hit counters are registered
+  // metrics: a replay must reproduce the lookups and the hits too.
+  const auto arrivals = infinite_stream(kSites, 8000, 1500, 31);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> cache_stats;
+  expect_replay_identical(
+      [&] {
+        core::SystemConfig config{kSites, 16, hash::HashKind::kMurmur2, 21};
+        config.num_shards = 3;
+        config.network.link.latency = 0.5;
+        config.observability.metrics = true;
+        return std::make_unique<core::InfiniteSystem>(config);
+      },
+      [&](core::InfiniteSystem& s) {
+        SamplePairs out = infinite_sample(s);
+        const auto snapshot = s.observability().snapshot();
+        out.emplace_back(
+            snapshot.counter_or("deployment.route_cache.hits", 0),
+            snapshot.counter_or("deployment.route_cache.lookups", 0));
+        cache_stats.push_back(out.back());
+        return out;
+      },
+      arrivals);
+  ASSERT_EQ(cache_stats.size(), 2u);
+  EXPECT_GT(cache_stats[0].second, 0u) << "route cache never consulted";
+}
+
+// ------------------------------------- exact answers on lossy wires --
+
+TEST(EngineWireOracle, InfiniteOverJitterWireIsExactBottomS) {
+  // A delayed threshold reply only leaves a site's threshold too high,
+  // so it forwards more, never less: the coordinator still ends with
+  // the exact bottom-s of the distinct elements.
+  for (const std::uint64_t seed : kSeeds) {
+    const auto arrivals = infinite_stream(kSites, 8000, 2500, seed * 5 + 1);
+    core::SystemConfig config{kSites, 16, hash::HashKind::kMurmur2, seed};
+    config.network.link.latency = 2.0;
+    config.network.link.jitter = 3.0;
+    config.network.link.reorder_rate = 0.1;
+    core::InfiniteSystem system(config);
+    ListSource source(arrivals);
+    system.run(source);
+    EXPECT_TRUE(system.bus().quiescent());
+    EXPECT_EQ(sorted_by_hash(infinite_sample(system)),
+              exact_bottom_s(arrivals, system.hash_fn(), 16))
+        << "seed " << seed;
+  }
+}
+
+TEST(EngineWireOracle, InfiniteOverRetransmittingLossyWireIsExactBottomS) {
+  for (const std::uint64_t seed : kSeeds) {
+    const auto arrivals = infinite_stream(kSites, 8000, 2500, seed * 5 + 2);
+    core::SystemConfig config{kSites, 16, hash::HashKind::kMurmur3, seed};
+    config.network.link.latency = 1.0;
+    config.network.link.jitter = 1.0;
+    config.network.link.drop_rate = 0.1;
+    config.network.link.retransmit = true;
+    core::InfiniteSystem system(config);
+    ListSource source(arrivals);
+    system.run(source);
+    const auto& wire = dynamic_cast<const net::SimNetwork&>(system.bus());
+    EXPECT_GT(wire.stats().drops, 0u);
+    ASSERT_EQ(wire.stats().lost_messages, 0u);
+    EXPECT_EQ(sorted_by_hash(infinite_sample(system)),
+              exact_bottom_s(arrivals, system.hash_fn(), 16))
+        << "seed " << seed;
+  }
+}
+
+TEST(EngineWireOracle, SuppressDuplicatesOverBatchingWireIsExactBottomS) {
+  for (const std::uint64_t seed : kSeeds) {
+    const auto arrivals = infinite_stream(kSites, 8000, 600, seed * 5 + 3);
+    core::SystemConfig config{kSites, 12, hash::HashKind::kMurmur2, seed};
+    config.network.link.latency = 0.5;
+    config.network.batch_interval = 4;
+    core::InfiniteSystem system(config, /*eager_threshold=*/true,
+                                /*suppress_duplicates=*/true);
+    ListSource source(arrivals);
+    system.run(source);
+    EXPECT_EQ(sorted_by_hash(infinite_sample(system)),
+              exact_bottom_s(arrivals, system.hash_fn(), 12))
+        << "seed " << seed;
+  }
+}
+
+TEST(EngineWireOracle, WithReplacementOverLossyWireMatchesZeroDelay) {
+  // Copy j keeps the minimum hash under its own function, which no
+  // delivery order can change.
+  for (const std::uint64_t seed : kSeeds) {
+    const auto arrivals = infinite_stream(kSites, 5000, 1500, seed * 5 + 4);
+    core::SystemConfig config{kSites, 6, hash::HashKind::kMurmur2, seed};
+    core::WithReplacementSystem reference(config);
+    {
+      ListSource source(arrivals);
+      reference.run(source);
+    }
+    core::SystemConfig wire_config = config;
+    wire_config.network.link.latency = 1.5;
+    wire_config.network.link.jitter = 2.0;
+    wire_config.network.link.drop_rate = 0.1;
+    wire_config.network.batch_interval = 2;
+    core::WithReplacementSystem wired(wire_config);
+    {
+      ListSource source(arrivals);
+      wired.run(source);
+    }
+    const auto& wire = dynamic_cast<const net::SimNetwork&>(wired.bus());
+    ASSERT_EQ(wire.stats().lost_messages, 0u);
+    EXPECT_EQ(wired.sample(), reference.sample()) << "seed " << seed;
+  }
+}
+
+TEST(EngineWireOracle, ShardedInfiniteOverWireMatchesUnshardedBus) {
+  const auto arrivals = infinite_stream(kSites, 10000, 3000, 53);
+  core::SystemConfig config{kSites, 20, hash::HashKind::kMurmur2, 8};
+  core::InfiniteSystem reference(config);
+  {
+    ListSource source(arrivals);
+    reference.run(source);
+  }
+  core::SystemConfig wire_config = config;
+  wire_config.num_shards = 3;
+  wire_config.network.link.latency = 1.0;
+  wire_config.network.link.jitter = 1.0;
+  wire_config.network.batch_interval = 2;
+  core::InfiniteSystem wired(wire_config);
+  {
+    ListSource source(arrivals);
+    wired.run(source);
+  }
+  EXPECT_EQ(infinite_sample(wired), infinite_sample(reference));
+  EXPECT_DOUBLE_EQ(query::estimate_distinct(wired.sample()),
+                   query::estimate_distinct(reference.sample()));
+}
+
+// ------------------------------------------------ engine surface -----
+
+TEST(SerialEngine, EmptyStreamAndAdvance) {
   core::SlidingSystemConfig config;
   config.num_sites = 4;
-  config.num_threads = 4;
   core::SlidingSystem system(config);
   ListSource empty({});
   EXPECT_EQ(system.run(empty), 0u);
+  EXPECT_EQ(system.bus().counters().total, 0u);
   system.runner().advance_to_slot(7);
   EXPECT_EQ(system.runner().current_slot(), 7);
+  EXPECT_EQ(system.bus().now(), 7);
 }
+
+TEST(SerialEngine, RunFinishesInFlightWireTraffic) {
+  // Replies still in flight when the source ends land before run()
+  // returns: the transport is quiescent and every logical message sent
+  // was delivered.
+  const auto arrivals = infinite_stream(4, 500, 400, 3);
+  core::SystemConfig config{4, 8, hash::HashKind::kMurmur2, 3};
+  config.network.link.latency = 50.0;  // far past the last arrival slot
+  core::InfiniteSystem system(config);
+  ListSource source(arrivals);
+  system.run(source);
+  const auto& wire = dynamic_cast<const net::SimNetwork&>(system.bus());
+  EXPECT_TRUE(wire.quiescent());
+  EXPECT_EQ(wire.in_flight(), 0u);
+  EXPECT_GE(wire.virtual_time(), 50.0);
+  std::uint64_t received = 0;
+  for (sim::NodeId id = 0; id < 5; ++id) received += wire.received_by(id);
+  EXPECT_EQ(received, wire.logical_counters().total);
+}
+
+TEST(SerialEngine, BindObservabilityPublishesArrivalsAndSlot) {
+  const auto arrivals = slotted_stream(3, /*slots=*/12, /*per_slot=*/4, 50, 5);
+  core::SlidingSystemConfig config;
+  config.num_sites = 3;
+  config.window = 5;
+  config.observability.metrics = true;
+  core::SlidingSystem system(config);
+  ListSource source(arrivals);
+  system.run(source);
+  const auto snapshot = system.observability().snapshot();
+  EXPECT_EQ(snapshot.counter_or("engine.arrivals"), arrivals.size());
+  EXPECT_DOUBLE_EQ(snapshot.gauge_or("engine.slot", -1.0), 11.0);
+}
+
+TEST(SerialEngine, MetricsOffRegistersNoEngineInstruments) {
+  core::SystemConfig config{3, 4, hash::HashKind::kMurmur2, 1};
+  core::InfiniteSystem system(config);
+  const auto arrivals = infinite_stream(3, 100, 50, 2);
+  ListSource source(arrivals);
+  system.run(source);
+  EXPECT_TRUE(system.observability().snapshot().empty());
+}
+
 
 // ------------------------------------------------------------ router --
 
@@ -424,11 +739,12 @@ TEST(ShardedCoordinator, WithReplacementMergedSampleMatchesUnsharded) {
 }
 
 TEST(ShardedCoordinator, ShardedPlusThreadedStaysDeterministic) {
+  // A sharded deployment replays bit for bit: two runs at the same seed
+  // send the same traffic and merge the same sample.
   const auto arrivals = infinite_stream(kSites, 15000, 2600, 31);
-  auto run_once = [&](std::uint32_t threads) {
+  auto run_once = [&] {
     core::SystemConfig config{kSites, 16, hash::HashKind::kMurmur2, 21};
     config.num_shards = 3;
-    config.num_threads = threads;
     core::InfiniteSystem system(config);
     ListSource source(arrivals);
     system.run(source);
@@ -440,9 +756,9 @@ TEST(ShardedCoordinator, ShardedPlusThreadedStaysDeterministic) {
     }
     return fp;
   };
-  const Fingerprint serial = run_once(1);
-  const Fingerprint sharded = run_once(4);
-  EXPECT_EQ(serial, sharded);
+  const Fingerprint first = run_once();
+  ASSERT_FALSE(first.sample.empty());
+  EXPECT_EQ(first, run_once());
 }
 
 TEST(ShardedCoordinator, UnshardableProtocolsRejectShards) {
@@ -454,167 +770,6 @@ TEST(ShardedCoordinator, UnshardableProtocolsRejectShards) {
   EXPECT_THROW(baseline::BroadcastSystem system(config),
                std::invalid_argument);
   EXPECT_THROW(baseline::DrsSystem system(config), std::invalid_argument);
-}
-
-// ---------------------------------------------- lockstep (real wires) --
-
-/// Fingerprint of a run on a realistic wire: the full logical message
-/// trace (every send, in order, via the tap), wire + logical counters,
-/// and the network pathology statistics. Lockstep's contract is that
-/// every entry matches the serial engine bit for bit.
-struct WireFingerprint {
-  std::vector<std::uint64_t> trace;
-  std::uint64_t wire_total = 0;
-  std::uint64_t wire_bytes = 0;
-  std::uint64_t logical_total = 0;
-  std::uint64_t drops = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t batches_flushed = 0;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> sample;
-
-  bool operator==(const WireFingerprint&) const = default;
-};
-
-template <typename System, typename SampleFn>
-WireFingerprint wire_fingerprint_run(System& system,
-                                     const std::vector<sim::Arrival>& arrivals,
-                                     SampleFn sample_fn) {
-  WireFingerprint fp;
-  system.bus().set_tap([&fp](const sim::Message& m) {
-    fp.trace.push_back((static_cast<std::uint64_t>(m.from) << 40) |
-                       (static_cast<std::uint64_t>(m.to) << 8) |
-                       static_cast<std::uint64_t>(m.type));
-    fp.trace.push_back(m.a ^ (m.b * 3) ^ (m.c * 7) ^ m.instance);
-  });
-  ListSource source(arrivals);
-  system.run(source);
-  fp.wire_total = system.bus().counters().total;
-  fp.wire_bytes = system.bus().counters().bytes;
-  auto* net = dynamic_cast<net::SimNetwork*>(&system.bus());
-  fp.logical_total = net->logical_counters().total;
-  fp.drops = net->stats().drops;
-  fp.retransmissions = net->stats().retransmissions;
-  fp.batches_flushed = net->stats().batches_flushed;
-  fp.sample = sample_fn(system);
-  return fp;
-}
-
-TEST(ShardedEngineLockstep, SlidingOverLossyWireMatchesSerial) {
-  // The acceptance wire: latency + jitter + Bernoulli loss with
-  // retransmission. Traces, counters, and samples must equal the
-  // serial engine's, and the engine must actually be the sharded one.
-  for (const std::uint64_t seed : kSeeds) {
-    const auto arrivals =
-        slotted_stream(kSites, /*slots=*/250, /*per_slot=*/5, 300, seed * 7);
-    auto run_once = [&](std::uint32_t threads) {
-      core::SlidingSystemConfig config;
-      config.num_sites = kSites;
-      config.window = 30;
-      config.sample_size = 2;
-      config.seed = seed;
-      config.num_threads = threads;
-      config.network.link.latency = 1.5;
-      config.network.link.jitter = 0.75;
-      config.network.link.drop_rate = 0.05;
-      config.network.link.retransmit = true;
-      core::SlidingSystem system(config);
-      EXPECT_STREQ(system.runner().name(), threads > 1 ? "sharded" : "serial");
-      return wire_fingerprint_run(
-          system, arrivals, [](core::SlidingSystem& s) {
-            std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-            for (const auto e :
-                 s.coordinator().sample(s.runner().current_slot())) {
-              out.emplace_back(e, 0);
-            }
-            return out;
-          });
-    };
-    const WireFingerprint want = run_once(1);
-    const WireFingerprint got = run_once(4);
-    EXPECT_GT(want.drops, 0u) << "wire not lossy enough to prove anything";
-    EXPECT_EQ(want, got);
-  }
-}
-
-TEST(ShardedEngineLockstep, InfiniteOverLatencyJitterWireMatchesSerial) {
-  // The slot-per-arrival shape: lockstep waves span slots up to the
-  // delivery horizon instead of one slot each.
-  for (const std::uint64_t seed : kSeeds) {
-    const auto arrivals = infinite_stream(kSites, 6000, 900, seed * 13 + 2);
-    auto run_once = [&](std::uint32_t threads) {
-      core::SystemConfig config{kSites, 8, hash::HashKind::kMurmur2, seed};
-      config.num_threads = threads;
-      config.network.link.latency = 2.0;
-      config.network.link.jitter = 1.0;
-      config.network.link.drop_rate = 0.03;
-      core::InfiniteSystem system(config);
-      EXPECT_STREQ(system.runner().name(), threads > 1 ? "sharded" : "serial");
-      return wire_fingerprint_run(
-          system, arrivals, [](core::InfiniteSystem& s) {
-            std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-            for (const auto& e : s.coordinator().sample().entries()) {
-              out.emplace_back(e.element, e.hash);
-            }
-            return out;
-          });
-    };
-    EXPECT_EQ(run_once(1), run_once(4));
-  }
-}
-
-TEST(ShardedEngineLockstep, BatchedShardedSlidingOverWireMatchesSerial) {
-  // Everything at once: report batching + coordinator sharding + the
-  // lossy wire + worker threads — the end-to-end "sharded sliding over
-  // a realistic wire" configuration abl12 measures.
-  const auto arrivals = slotted_stream(kSites, 220, 5, 260, 77);
-  auto run_once = [&](std::uint32_t threads) {
-    core::SlidingSystemConfig config;
-    config.num_sites = kSites;
-    config.window = 25;
-    config.sample_size = 2;
-    config.seed = 5;
-    config.num_threads = threads;
-    config.num_shards = 2;
-    config.network.link.latency = 1.25;
-    config.network.link.drop_rate = 0.04;
-    config.network.batch_interval = 3;
-    config.network.batch_max_msgs = 8;
-    core::SlidingSystem system(config);
-    EXPECT_STREQ(system.runner().name(), threads > 1 ? "sharded" : "serial");
-    return wire_fingerprint_run(system, arrivals, [](core::SlidingSystem& s) {
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-      for (const auto e : s.sample(s.runner().current_slot())) {
-        out.emplace_back(e, 0);
-      }
-      return out;
-    });
-  };
-  const WireFingerprint want = run_once(1);
-  const WireFingerprint got = run_once(4);
-  EXPECT_GT(want.batches_flushed, 0u);
-  EXPECT_EQ(want, got);
-}
-
-TEST(ShardedEngineLockstep, PerMessageWakeupsStayDeterministic) {
-  // The wakeup-coalescing knob is a handoff optimization only; both
-  // settings must produce the serial fingerprint (run-ahead mode).
-  const auto arrivals = infinite_stream(kSites, 8000, 1200, 21);
-  auto run_once = [&](std::uint32_t threads, bool coalesce) {
-    core::SystemConfig config{kSites, 10, hash::HashKind::kMurmur2, 9};
-    config.num_threads = threads;
-    config.coalesce_wakeups = coalesce;
-    core::InfiniteSystem system(config);
-    return fingerprint_run(system, arrivals, [](core::InfiniteSystem& s) {
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-      for (const auto& e : s.coordinator().sample().entries()) {
-        out.emplace_back(e.element, e.hash);
-      }
-      return out;
-    });
-  };
-  const Fingerprint want = run_once(1, true);
-  EXPECT_EQ(want, run_once(4, true));
-  EXPECT_EQ(want, run_once(4, false));
 }
 
 }  // namespace

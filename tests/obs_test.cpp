@@ -2,16 +2,13 @@
 //
 // Three layers of contract:
 //   * unit — log2 histogram bucketing, registry aggregation (duplicate
-//     names sum; without_prefix strips all three instrument kinds),
+//     names sum),
 //     tracer capacity/drop accounting, exporter round-trips;
 //   * facade — Observability with instruments off binds/does nothing;
-//   * determinism (the PR's acceptance) — with metrics + tracing on,
-//     the sharded lockstep engine over a lossy wire produces a metrics
-//     snapshot and a protocol-level trace bit-identical to the serial
-//     engine at the same seed, for both the sliding and the infinite
-//     protocol. Engine-strategy metrics/events (the "engine." name
-//     prefix / "engine" trace category) legitimately differ and are
-//     stripped before comparing.
+//   * determinism — with metrics + tracing on, two runs over a lossy
+//     wire at the same seed produce bit-identical metrics snapshots and
+//     traces, for both the sliding and the infinite protocol. This is
+//     the replay contract the CI replay-twice smokes rely on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -138,30 +135,6 @@ TEST(ObsRegistry, DuplicateRegistrationsAggregateAtSnapshot) {
   EXPECT_EQ(snap.counter_or("absent", 99), 99u);
 }
 
-TEST(ObsRegistry, WithoutPrefixStripsEveryInstrumentKind) {
-  std::uint64_t c1 = 1, c2 = 2;
-  obs::Histogram h1, h2;
-  h1.observe(1);
-  h2.observe(2);
-
-  obs::MetricsRegistry registry;
-  registry.counter("engine.waves", &c1);
-  registry.counter("net.msgs", &c2);
-  registry.gauge("engine.slot", [] { return 9.0; });
-  registry.gauge("net.in_flight", [] { return 3.0; });
-  registry.histogram("engine.wave.arrivals", &h1);
-  registry.histogram("net.batch.msgs", &h2);
-
-  const obs::MetricsSnapshot stripped =
-      registry.snapshot().without_prefix("engine.");
-  EXPECT_EQ(stripped.counters.size(), 1u);
-  EXPECT_EQ(stripped.gauges.size(), 1u);
-  EXPECT_EQ(stripped.histograms.size(), 1u);
-  EXPECT_EQ(stripped.counter_or("net.msgs"), 2u);
-  EXPECT_DOUBLE_EQ(stripped.gauge_or("net.in_flight"), 3.0);
-  EXPECT_TRUE(stripped.histograms.count("net.batch.msgs"));
-}
-
 // --------------------------------------------------------------- tracer --
 
 TEST(ObsTracer, CapacityBoundsEventsAndCountsDrops) {
@@ -173,20 +146,17 @@ TEST(ObsTracer, CapacityBoundsEventsAndCountsDrops) {
   EXPECT_EQ(tracer.dropped_events(), 6u);
 }
 
-TEST(ObsTracer, ChromeJsonFiltersOneCategory) {
+TEST(ObsTracer, ChromeJsonRendersEveryEventInVirtualTime) {
   obs::Tracer tracer;
   tracer.instant("net", "sliding_report", 1.0, 3, {{"from", 3.0}});
-  tracer.complete("engine", "wave", 1.0, 2.0, 0, {{"arrivals", 5.0}});
+  tracer.complete("ckpt", "restore", 1.0, 2.0, 0, {{"shards", 5.0}});
   tracer.counter("metrics", "net.wire.msgs", 2.0, 17.0);
 
   const std::string all = tracer.to_chrome_json();
-  EXPECT_NE(all.find("\"engine\""), std::string::npos);
   EXPECT_NE(all.find("traceEvents"), std::string::npos);
-
-  const std::string filtered = tracer.to_chrome_json("engine");
-  EXPECT_EQ(filtered.find("\"engine\""), std::string::npos);
-  EXPECT_NE(filtered.find("sliding_report"), std::string::npos);
-  EXPECT_NE(filtered.find("net.wire.msgs"), std::string::npos);
+  EXPECT_NE(all.find("sliding_report"), std::string::npos);
+  EXPECT_NE(all.find("\"ckpt\""), std::string::npos);
+  EXPECT_NE(all.find("net.wire.msgs"), std::string::npos);
 
   // Virtual-time scale: slot 1 is 1000 trace microseconds.
   EXPECT_NE(all.find("\"ts\":1000"), std::string::npos);
@@ -276,30 +246,24 @@ TEST(ObsFacade, SampleCountersBridgesMetricsIntoTrace) {
   EXPECT_GT(snap.counter_or("net.wire.msgs"), 0u);
   EXPECT_GT(snap.counter_or("engine.arrivals"), 0u);
 
-  // Every counter sample lands in the trace; engine-strategy metrics
-  // ride the "engine" category so cross-engine comparisons can drop
-  // them with the same single-category filter as the event lanes.
-  bool saw_metrics_cat = false, saw_engine_cat = false;
+  // Every counter sample lands in the trace's "metrics" lane, the
+  // engine's own counters included.
+  bool saw_net = false, saw_engine = false;
   for (const obs::TraceEvent& e : system.observability().tracer()->events()) {
     if (e.phase != 'C') continue;
-    if (e.cat == "metrics") {
-      saw_metrics_cat = true;
-      EXPECT_NE(e.name.rfind("engine.", 0), 0u) << e.name;
-    }
-    if (e.cat == "engine") {
-      saw_engine_cat = true;
-      EXPECT_EQ(e.name.rfind("engine.", 0), 0u) << e.name;
-    }
+    EXPECT_EQ(e.cat, "metrics") << e.name;
+    saw_net = saw_net || e.name == "net.wire.msgs";
+    saw_engine = saw_engine || e.name == "engine.arrivals";
   }
-  EXPECT_TRUE(saw_metrics_cat);
-  EXPECT_TRUE(saw_engine_cat);
+  EXPECT_TRUE(saw_net);
+  EXPECT_TRUE(saw_engine);
 }
 
 // -------------------------------------------- determinism (acceptance) --
 
-/// Everything the cross-engine observability contract covers: the
-/// engine-stripped metrics snapshot, the engine-filtered event list, and
-/// the rendered Chrome JSON the CI smoke archives.
+/// Everything the replay observability contract covers: the metrics
+/// snapshot, the event list, and the rendered Chrome JSON the CI smoke
+/// archives.
 struct ObsFingerprint {
   obs::MetricsSnapshot snapshot;
   std::vector<obs::TraceEvent> events;
@@ -317,30 +281,26 @@ ObsFingerprint obs_fingerprint_run(System& system,
   system.observability().sample_counters(
       static_cast<double>(system.runner().current_slot()));
   ObsFingerprint fp;
-  fp.snapshot = system.observability().snapshot().without_prefix("engine.");
-  for (const obs::TraceEvent& e : system.observability().tracer()->events()) {
-    if (e.cat != "engine") fp.events.push_back(e);
-  }
-  fp.chrome_json = system.observability().tracer()->to_chrome_json("engine");
+  fp.snapshot = system.observability().snapshot();
+  fp.events = system.observability().tracer()->events();
+  fp.chrome_json = system.observability().tracer()->to_chrome_json();
   EXPECT_EQ(system.observability().tracer()->dropped_events(), 0u);
   return fp;
 }
 
 TEST(ObsDeterminism, SlidingOverLossyWireMatchesSerial) {
-  // The acceptance configuration: sliding windows, sharded coordinator,
-  // lockstep waves over a latency + jitter + loss + batching wire, with
-  // both instruments on. The protocol-level snapshot and trace must be
-  // bit-identical to the serial engine's.
+  // Sliding windows, sharded coordinator, a latency + jitter + loss +
+  // batching wire, both instruments on. A second run at the same seed
+  // must reproduce the snapshot and trace bit for bit.
   for (const std::uint64_t seed : kSeeds) {
     const auto arrivals =
         slotted_stream(kSites, /*slots=*/200, /*per_slot=*/5, 300, seed * 7);
-    auto run_once = [&](std::uint32_t threads) {
+    auto run_once = [&] {
       core::SlidingSystemConfig config;
       config.num_sites = kSites;
       config.window = 30;
       config.sample_size = 2;
       config.seed = seed;
-      config.num_threads = threads;
       config.num_shards = 2;
       config.network.link.latency = 1.5;
       config.network.link.jitter = 0.75;
@@ -350,11 +310,10 @@ TEST(ObsDeterminism, SlidingOverLossyWireMatchesSerial) {
       config.observability.metrics = true;
       config.observability.tracing = true;
       core::SlidingSystem system(config);
-      EXPECT_STREQ(system.runner().name(), threads > 1 ? "sharded" : "serial");
       return obs_fingerprint_run(system, arrivals);
     };
-    const ObsFingerprint want = run_once(1);
-    const ObsFingerprint got = run_once(4);
+    const ObsFingerprint want = run_once();
+    const ObsFingerprint got = run_once();
     EXPECT_GT(want.snapshot.counter_or("net.drops"), 0u)
         << "wire not lossy enough to prove anything";
     EXPECT_GT(want.events.size(), 0u);
@@ -364,23 +323,21 @@ TEST(ObsDeterminism, SlidingOverLossyWireMatchesSerial) {
 
 TEST(ObsDeterminism, InfiniteOverLatencyJitterWireMatchesSerial) {
   // Second protocol over the wire: infinite-window distinct sampling,
-  // slot-per-arrival shape, lockstep waves spanning the horizon.
+  // slot-per-arrival shape.
   for (const std::uint64_t seed : kSeeds) {
     const auto arrivals = infinite_stream(kSites, 4000, 900, seed * 13 + 2);
-    auto run_once = [&](std::uint32_t threads) {
+    auto run_once = [&] {
       core::SystemConfig config{kSites, 8, hash::HashKind::kMurmur2, seed};
-      config.num_threads = threads;
       config.network.link.latency = 2.0;
       config.network.link.jitter = 1.0;
       config.network.link.drop_rate = 0.03;
       config.observability.metrics = true;
       config.observability.tracing = true;
       core::InfiniteSystem system(config);
-      EXPECT_STREQ(system.runner().name(), threads > 1 ? "sharded" : "serial");
       return obs_fingerprint_run(system, arrivals);
     };
-    const ObsFingerprint want = run_once(1);
-    const ObsFingerprint got = run_once(4);
+    const ObsFingerprint want = run_once();
+    const ObsFingerprint got = run_once();
     EXPECT_GT(want.snapshot.counter_or("net.wire.msgs"), 0u);
     EXPECT_EQ(want, got);
   }
@@ -390,28 +347,26 @@ TEST(ObsDeterminism, SnapshotsExportIdenticallyAcrossEngines) {
   // The rendered artifacts (what CI archives) match too, not just the
   // in-memory views: identical snapshots imply identical expositions.
   const auto arrivals = slotted_stream(kSites, 120, 4, 200, 9);
-  auto exposition = [&](std::uint32_t threads) {
+  auto exposition = [&] {
     core::SlidingSystemConfig config;
     config.num_sites = kSites;
     config.window = 20;
     config.sample_size = 2;
     config.seed = 11;
-    config.num_threads = threads;
     config.network.link.latency = 1.25;
     config.network.link.drop_rate = 0.04;
     config.observability.metrics = true;
     core::SlidingSystem system(config);
     ListSource source(arrivals);
     system.run(source);
-    const auto snap =
-        system.observability().snapshot().without_prefix("engine.");
+    const auto snap = system.observability().snapshot();
     return std::pair{obs::to_prometheus(snap), obs::to_json(snap)};
   };
-  const auto [prom_serial, json_serial] = exposition(1);
-  const auto [prom_sharded, json_sharded] = exposition(4);
-  EXPECT_EQ(prom_serial, prom_sharded);
-  EXPECT_EQ(json_serial, json_sharded);
-  EXPECT_TRUE(obs::parse_prometheus(prom_serial).has_value());
+  const auto [prom_first, json_first] = exposition();
+  const auto [prom_second, json_second] = exposition();
+  EXPECT_EQ(prom_first, prom_second);
+  EXPECT_EQ(json_first, json_second);
+  EXPECT_TRUE(obs::parse_prometheus(prom_first).has_value());
 }
 
 // ------------------------------------- sim::Series miss-path (satellite) --

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -292,6 +294,168 @@ TEST(Runner, BusNowTracksSlots) {
   ListSource src({{4, 0, 1}});
   runner.run(src);
   EXPECT_EQ(bus.now(), 4);
+}
+
+/// Site that records how the engine grouped its arrivals: one entry per
+/// on_element_batch call (the default per-element path still runs, so
+/// single deliveries land in `singles` as well).
+class BatchRecorder final : public StreamNode {
+ public:
+  void on_element(std::uint64_t element, Slot t,
+                  net::Transport& /*bus*/) override {
+    singles.push_back(element);
+    slots.push_back(t);
+  }
+
+  void on_element_batch(std::span<const std::uint64_t> elements, Slot t,
+                        net::Transport& bus) override {
+    batches.emplace_back(elements.begin(), elements.end());
+    StreamNode::on_element_batch(elements, t, bus);
+  }
+
+  void on_message(const Message& /*msg*/, net::Transport& /*bus*/) override {}
+
+  std::vector<std::vector<std::uint64_t>> batches;
+  std::vector<std::uint64_t> singles;
+  std::vector<Slot> slots;
+};
+
+TEST(SerialEngine, RunBatchedGroupsRunsOfOneSlotAndSiteUpToMaxBatch) {
+  Bus bus(2);
+  BatchRecorder s0, s1;
+  Recorder coord(2);
+  bus.attach(0, &s0);
+  bus.attach(1, &s1);
+  bus.attach(2, &coord);
+  SerialEngine engine(bus, {&s0, &s1}, /*invoke_slot_begin=*/false);
+  // A batch ends at a site change, a slot change, or max_batch.
+  ListSource src({{0, 0, 1}, {0, 0, 2}, {0, 0, 3}, {0, 1, 4}, {0, 0, 5},
+                  {1, 0, 6}, {1, 0, 7}, {2, 1, 8}});
+  EXPECT_EQ(engine.run_batched(src, /*max_batch=*/2), 8u);
+  using Batches = std::vector<std::vector<std::uint64_t>>;
+  EXPECT_EQ(s0.batches, (Batches{{1, 2}, {3}, {5}, {6, 7}}));
+  EXPECT_EQ(s1.batches, (Batches{{4}, {8}}));
+  EXPECT_EQ(s0.singles, (std::vector<std::uint64_t>{1, 2, 3, 5, 6, 7}));
+  EXPECT_EQ(s0.slots, (std::vector<Slot>{0, 0, 0, 0, 1, 1}));
+  EXPECT_EQ(engine.current_slot(), 2);
+}
+
+TEST(SerialEngine, RunBatchedWidthOneIsPlainRun) {
+  Bus bus(1);
+  BatchRecorder s0;
+  Recorder coord(1);
+  bus.attach(0, &s0);
+  bus.attach(1, &coord);
+  SerialEngine engine(bus, {&s0}, /*invoke_slot_begin=*/false);
+  ListSource src({{0, 0, 1}, {0, 0, 2}, {3, 0, 3}});
+  EXPECT_EQ(engine.run_batched(src, /*max_batch=*/1), 3u);
+  EXPECT_TRUE(s0.batches.empty());  // every element took on_element
+  EXPECT_EQ(s0.singles, (std::vector<std::uint64_t>{1, 2, 3}));
+}
+
+TEST(SerialEngine, RunBatchedObservesOncePerCrossedMultiple) {
+  Bus bus(1);
+  BatchRecorder s0;
+  Recorder coord(1);
+  bus.attach(0, &s0);
+  bus.attach(1, &coord);
+  SerialEngine engine(bus, {&s0}, /*invoke_slot_begin=*/false);
+  // Slot sizes 5, 1, 4: batches end at 5, 6, 10 arrivals. Every 3
+  // arrivals: the multiples 3 (inside batch 1), 6 (end of batch 2) and
+  // 9 (inside batch 3) each trigger one observation at the batch end.
+  std::vector<Arrival> arrivals;
+  const int sizes[] = {5, 1, 4};
+  for (Slot t = 0; t < 3; ++t) {
+    for (int i = 0; i < sizes[t]; ++i) {
+      arrivals.push_back({t, 0, static_cast<std::uint64_t>(10 * t + i)});
+    }
+  }
+  ListSource src(arrivals);
+  std::vector<Progress> seen;
+  engine.set_observer(3, [&seen](const Progress& p) { seen.push_back(p); });
+  engine.run_batched(src, /*max_batch=*/8);
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen[0].elements_processed, 5u);
+  EXPECT_EQ(seen[1].elements_processed, 6u);
+  EXPECT_EQ(seen[2].elements_processed, 10u);
+  EXPECT_FALSE(seen[2].final_snapshot);
+  EXPECT_TRUE(seen[3].final_snapshot);
+  EXPECT_EQ(seen[3].elements_processed, 10u);
+  EXPECT_EQ(seen[3].slot, 2);
+}
+
+TEST(SerialEngine, RunBatchedValidatesEveryArrival) {
+  Bus bus(1);
+  BatchRecorder s0;
+  Recorder coord(1);
+  bus.attach(0, &s0);
+  bus.attach(1, &coord);
+  {
+    SerialEngine engine(bus, {&s0}, false);
+    ListSource src({{4, 0, 1}, {2, 0, 2}});
+    EXPECT_THROW(engine.run_batched(src, 8), std::invalid_argument);
+  }
+  {
+    SerialEngine engine(bus, {&s0}, false);
+    ListSource src({{0, 0, 1}, {0, 3, 2}});
+    EXPECT_THROW(engine.run_batched(src, 8), std::out_of_range);
+  }
+}
+
+TEST(SerialEngine, AdvanceWithoutSlotBeginMovesOnlyTheClock) {
+  Bus bus(1);
+  SinkSite s0(0, 1, false);
+  Recorder coord(1);
+  bus.attach(0, &s0);
+  bus.attach(1, &coord);
+  SerialEngine engine(bus, {&s0}, /*invoke_slot_begin=*/false);
+  engine.advance_to_slot(5);
+  EXPECT_EQ(engine.current_slot(), 5);
+  EXPECT_EQ(bus.now(), 5);
+  EXPECT_TRUE(s0.slot_begins.empty());
+}
+
+TEST(SerialEngine, SlotBeginRepliesLandBeforeTheSlotsArrivals) {
+  // The engine drains after each site's on_slot_begin, so a message a
+  // site sends at the slot boundary is delivered before that slot's
+  // first element.
+  class BoundarySender final : public StreamNode {
+   public:
+    void on_element(std::uint64_t element, Slot /*t*/,
+                    net::Transport& /*bus*/) override {
+      log.push_back(element);
+    }
+    void on_slot_begin(Slot t, net::Transport& bus) override {
+      Message m;
+      m.from = 0;
+      m.to = 1;
+      m.type = MsgType::kReportElement;
+      m.a = 1000 + static_cast<std::uint64_t>(t);
+      bus.send(m);
+    }
+    void on_message(const Message& /*msg*/, net::Transport& /*bus*/) override {}
+    std::vector<std::uint64_t> log;
+  };
+  class LoggingCoordinator final : public Node {
+   public:
+    explicit LoggingCoordinator(std::vector<std::uint64_t>& log) : log_(log) {}
+    void on_message(const Message& msg, net::Transport& /*bus*/) override {
+      log_.push_back(msg.a);
+    }
+
+   private:
+    std::vector<std::uint64_t>& log_;
+  };
+  Bus bus(1);
+  BoundarySender site;
+  LoggingCoordinator coord(site.log);
+  bus.attach(0, &site);
+  bus.attach(1, &coord);
+  SerialEngine engine(bus, {&site}, /*invoke_slot_begin=*/true);
+  ListSource src({{0, 0, 7}, {2, 0, 8}});
+  engine.run(src);
+  EXPECT_EQ(site.log,
+            (std::vector<std::uint64_t>{1000, 7, 1001, 1002, 8}));
 }
 
 // ------------------------------------------------------------- metrics --

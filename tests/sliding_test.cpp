@@ -399,5 +399,69 @@ TEST(SlidingEdge, MessagesDecreaseWithWindowSize) {
   EXPECT_GT(messages_for(4), messages_for(256));
 }
 
+// ---------------------------------------------------------- uniformity --
+
+TEST(SlidingUniformity, UniformAtQuerySlotDespiteExpiryAndSkew) {
+  // Algorithms 3-4 with s = 1 on k = 4 sites: across independent seeds,
+  // the element sampled at the query slot must be uniform over the
+  // distinct elements in the window at that slot — whatever their
+  // frequency (element 1 arrives at every site in every slot), site, or
+  // age. Elements seen only before the window must never be sampled.
+  // (protocol_property_test's uniformity test keeps every arrival in
+  // the window; this one exercises expiry.)
+  constexpr int kRuns = 1500;
+  constexpr std::uint32_t kSites = 4;
+  constexpr sim::Slot kWindow = 40;
+  constexpr sim::Slot kSlots = 120;
+  constexpr sim::Slot kQuery = kSlots - 1;
+
+  // One fixed stream for every run; only the protocol's seed varies.
+  std::vector<std::vector<std::pair<sim::NodeId, Element>>> stream(kSlots);
+  util::Xoshiro256StarStar rng(2024);
+  for (sim::Slot t = 0; t < kSlots; ++t) {
+    auto& xs = stream[static_cast<std::size_t>(t)];
+    for (sim::NodeId site = 0; site < kSites; ++site) xs.emplace_back(site, 1);
+    for (int i = 0; i < 3; ++i) {
+      xs.emplace_back(static_cast<sim::NodeId>(rng.next_below(kSites)),
+                      2 + rng.next_below(40));
+    }
+    // Elements 100.. appear once each, early: all expired by the query.
+    if (t < kSlots - kWindow) {
+      xs.emplace_back(static_cast<sim::NodeId>(t % kSites),
+                      100 + static_cast<Element>(t));
+    }
+  }
+  std::map<Element, std::size_t> in_window;  // element -> counts index
+  for (sim::Slot t = kQuery - kWindow + 1; t <= kQuery; ++t) {
+    for (const auto& [site, e] : stream[static_cast<std::size_t>(t)]) {
+      in_window.emplace(e, in_window.size());
+    }
+  }
+  ASSERT_GE(in_window.size(), 30u);
+
+  std::vector<std::uint64_t> counts(in_window.size(), 0);
+  for (int run = 0; run < kRuns; ++run) {
+    SlidingSystemConfig config;
+    config.num_sites = kSites;
+    config.window = kWindow;
+    config.sample_size = 1;
+    config.seed = static_cast<std::uint64_t>(run) * 7919 + 1;
+    SlidingSystem system(config);
+    for (sim::Slot t = 0; t < kSlots; ++t) {
+      SlotSource src(t, stream[static_cast<std::size_t>(t)]);
+      system.run(src);
+    }
+    const auto sample = system.sample(kQuery);
+    ASSERT_EQ(sample.size(), 1u) << "run " << run;
+    const auto it = in_window.find(sample.front());
+    ASSERT_NE(it, in_window.end())
+        << "run " << run << " sampled out-of-window element "
+        << sample.front();
+    ++counts[it->second];
+  }
+  EXPECT_LT(util::chi_square_uniform(counts),
+            util::chi_square_critical(counts.size() - 1, 0.001));
+}
+
 }  // namespace
 }  // namespace dds::core

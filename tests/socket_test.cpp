@@ -369,7 +369,7 @@ TEST(DrainAtFinish, QuiescentReportsBufferedTraffic) {
   EXPECT_EQ(coordinator.received, 1u);
 }
 
-// ---- multi-process spawn smoke (satellite 3) -------------------------
+// ---- multi-process spawn smoke ---------------------------------------
 
 struct SpawnConfig {
   std::string transport;
@@ -497,6 +497,27 @@ TEST(SpawnSmoke, TcpThreeProcessRunMatchesInProcessSample) {
   SpawnConfig config;
   config.transport = "tcp";
   run_spawn_smoke(config);
+}
+
+TEST(SpawnSmoke, MalformedArgumentsExitWithUsage) {
+  // Every malformed number is a usage error (exit 2) before any socket
+  // is opened: no abort on junk, no silent truncation or wraparound.
+  const std::string node_binary = std::string(DDS_BINARY_DIR) + "/dds_node";
+  const std::vector<std::vector<std::string>> bad_runs = {
+      {"--coordinator", "--seed", "abc"},
+      {"--coordinator", "--num-sites", "2x"},
+      {"--coordinator", "--num-sites", "-1"},
+      {"--coordinator", "--port", "70000"},
+      {"--coordinator", "--sample-size", "0"},
+      {"--coordinator", "--timeout", "3s"},
+      {"--site", "1junk"},
+  };
+  for (const auto& flags : bad_runs) {
+    std::vector<std::string> argv{node_binary};
+    argv.insert(argv.end(), flags.begin(), flags.end());
+    EXPECT_EQ(wait_with_timeout(spawn(argv), 10), 2)
+        << flags[1] << " " << flags.back();
+  }
 }
 
 }  // namespace

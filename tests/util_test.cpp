@@ -8,7 +8,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/cli.h"
@@ -360,6 +363,69 @@ TEST(Cli, UintListParsing) {
 TEST(Cli, UnregisteredLookupThrows) {
   Cli cli;
   EXPECT_THROW(cli.get("nothere"), std::invalid_argument);
+}
+
+TEST(Cli, StrictNumberParsesRejectMalformedText) {
+  EXPECT_EQ(parse_uint("12"), 12u);
+  EXPECT_EQ(parse_uint("0"), 0u);
+  EXPECT_EQ(parse_uint("18446744073709551615"), ~std::uint64_t{0});
+  for (const char* bad : {"-1", "12abc", "", " 12", "12 ", "+3", "0x10",
+                          "18446744073709551616", "1.5"}) {
+    EXPECT_EQ(parse_uint(bad), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(parse_uint("65535", 65535), 65535u);
+  EXPECT_EQ(parse_uint("70000", 65535), std::nullopt);
+
+  EXPECT_EQ(parse_int("-7"), -7);
+  EXPECT_EQ(parse_int("7x"), std::nullopt);
+  EXPECT_EQ(parse_int("9223372036854775808"), std::nullopt);
+
+  EXPECT_EQ(parse_double("0.3"), 0.3);
+  EXPECT_EQ(parse_double("-2.5e3"), -2500.0);
+  for (const char* bad : {"0.3junk", "", "abc", "inf", "nan", "1e999",
+                          " 1.0"}) {
+    EXPECT_EQ(parse_double(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
+TEST(Cli, MalformedNumericFlagsThrowNamingTheFlag) {
+  Cli cli;
+  cli.flag("sites", "n", "1");
+  cli.flag("ratio", "r", "0.5");
+  cli.flag("offset", "o", "0");
+  cli.flag("ks", "list", "1,2");
+  const char* argv[] = {"prog",           "--sites", "-1",   "--ratio",
+                        "0.3junk",        "--offset", "4q",  "--ks",
+                        "5,12abc,7"};
+  ASSERT_TRUE(cli.parse(9, argv));
+  EXPECT_THROW(cli.get_uint("sites"), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("ratio"), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("offset"), std::invalid_argument);
+  EXPECT_THROW(cli.get_uint_list("ks"), std::invalid_argument);
+  try {
+    (void)cli.get_uint("sites");
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--sites"), std::string::npos);
+  }
+
+  const char* trailing[] = {"prog", "--sites", "12abc"};
+  Cli again;
+  again.flag("sites", "n", "1");
+  ASSERT_TRUE(again.parse(3, trailing));
+  EXPECT_THROW(again.get_uint("sites"), std::invalid_argument);
+}
+
+TEST(Cli, EmptyListItemsAreSkipped) {
+  Cli cli;
+  cli.flag("ks", "list", "");
+  const char* argv[] = {"prog", "--ks", "3,,4,"};
+  ASSERT_TRUE(cli.parse(3, argv));
+  EXPECT_EQ(cli.get_uint_list("ks"), (std::vector<std::uint64_t>{3, 4}));
+  Cli empty;
+  empty.flag("ks", "list", "");
+  const char* none[] = {"prog"};
+  ASSERT_TRUE(empty.parse(1, none));
+  EXPECT_TRUE(empty.get_uint_list("ks").empty());
 }
 
 }  // namespace

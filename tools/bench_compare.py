@@ -18,8 +18,7 @@ Both directories hold the artifacts tools/bench_json.sh emits:
 
 HARD ratio gates (--gate-table FILE:COLUMN:MIN, repeatable): some table
 columns are hardware-independent ratios (abl14's batched-over-single
-"xB/x1", abl17's speculative-over-lockstep "wave x lockstep") and CAN be
-gated hard even on a noisy box. For each spec the maximum value of
+"xB/x1") and CAN be gated hard even on a noisy box. For each spec the maximum value of
 COLUMN across FILE's rows must be >= MIN, and — when a baseline copy of
 FILE exists — must not fall below the baseline maximum by more than
 --threshold. With --gates-only the timing comparison is skipped

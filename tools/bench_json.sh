@@ -65,15 +65,15 @@ run_table_bench() {
   echo "bench_json: wrote $outdir/${name%%_*}*.json ($name)"
 }
 
-# Execution-engine trajectory: the sharding ablation's JSON mirror
-# records throughput, message cost, wakeup-coalescing before/after, and
-# route-cache hit rate per (threads, shards) point.
-run_table_bench abl11_sharding --runs 2 --n 100000 --wakeup-ablation
+# Coordinator-sharding trajectory: the sharding ablation's JSON mirror
+# records throughput, message cost, and route-cache hit rate per shard
+# count.
+run_table_bench abl11_sharding --runs 2 --n 100000
 
 # Sharded sliding windows over realistic wires: merged-query agreement
 # (the exact protocol must stay at 100), message cost vs shards, and
-# lockstep throughput.
-run_table_bench abl12_sliding_sharding --runs 1 --slots 250 --threads 2
+# throughput.
+run_table_bench abl12_sliding_sharding --runs 1 --slots 250
 
 # Fault-tolerance trajectory: abl13's table records checkpoint
 # bandwidth (bytes/slot vs cadence vs shards) and recovery latency in
@@ -99,11 +99,3 @@ run_table_bench abl14_batch_ingest --runs 1 --slots 4000
 # on any disagreement) and records the sub-linear memory and ingest
 # ratios vs tenant count.
 run_table_bench abl15_multitenant --runs 1 --slots 2000
-
-# Speculative-lockstep trajectory: abl17's "wave x lockstep" column is
-# the hardware-independent mean-wave-length ratio over the
-# delivery-horizon baseline, with the rollback rate and snapshot
-# bytes/slot as the price. The binary exits nonzero when the sub-slot
-# wire's ratio drops below 8x (its --gate-ratio), and ci.sh additionally
-# hard-gates the column via bench_compare.py --gate-table.
-run_table_bench abl17_speculation --runs 1 --n 30000

@@ -22,15 +22,13 @@ ctest --test-dir "$build" --output-on-failure -j
   --outdir "$build/bench_results" --json
 "$build/lossy_network" >/dev/null
 
-# Sharding smoke: the execution-engine ablation across a small
-# threads x shards grid, plus the sharded-sliding-over-the-wire ablation
-# (the determinism suites themselves run under ctest; `ctest -L
-# sharding` is the targeted sub-2-minute loop for engine work).
-"$build/abl11_sharding" --runs 1 --n 20000 --sites 8 \
-  --thread-list 1,4 --shard-list 1,2 --wakeup-ablation \
+# Sharding smoke: the coordinator-sharding ablation over a small shard
+# grid, plus the sharded-sliding-over-the-wire ablation (the sharding
+# suites themselves run under ctest; `ctest -L sharding` is the targeted
+# sub-2-minute loop for sharding work).
+"$build/abl11_sharding" --runs 1 --n 20000 --sites 8 --shard-list 1,2 \
   --outdir "$build/bench_results" --json
 "$build/abl12_sliding_sharding" --runs 1 --slots 120 --shard-list 1,2 \
-  --threads 4 \
   --outdir "$build/bench_results" --json
 "$build/sharded_sliding_lossy" >/dev/null
 
@@ -121,15 +119,13 @@ else
   echo "ci: no bench_baseline/ snapshot; skipping perf compare"
 fi
 
-# Ratio gates (HARD): hardware-independent table columns — abl14's
-# batched-over-single throughput ratio and abl17's speculative wave
-# length over the lockstep baseline — must clear their floors even on a
+# Ratio gate (HARD): a hardware-independent table column — abl14's
+# batched-over-single throughput ratio — must clear its floor even on a
 # noisy box. Unlike the timing tripwire above, a failure here blocks:
 # these ratios measure algorithmic effects, not wall clock. The baseline
 # dir is optional (per-file regression check applies when it exists).
 python3 "$repo/tools/bench_compare.py" "$build/bench_results" \
   "$build/bench_baseline" --threshold 0.25 --gates-only \
-  --gate-table "abl14_batch_ingest.json:xB/x1:1.2" \
-  --gate-table "abl17_speculation.json:wave x lockstep:8"
+  --gate-table "abl14_batch_ingest.json:xB/x1:1.2"
 
 echo "ci: OK"

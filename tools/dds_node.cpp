@@ -1,4 +1,4 @@
-// dds_node — one node of a real-socket deployment (ISSUE 9 tentpole 3).
+// dds_node — one node of a real-socket deployment.
 //
 // Runs the infinite-window protocol (Algorithms 1 & 2) with each node in
 // its own OS process, talking over real UDP or TCP sockets on
@@ -36,6 +36,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -47,6 +48,7 @@
 #include "net/socket_transport.h"
 #include "net/tcp_transport.h"
 #include "net/udp_transport.h"
+#include "util/cli.h"
 #include "util/rng.h"
 
 namespace {
@@ -92,33 +94,45 @@ Args parse_args(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
+  // Whole-string, range-checked: "-1", "2x" and out-of-range values are
+  // usage errors, never silently truncated.
+  constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  auto next_uint = [&](int& i, std::uint64_t min,
+                       std::uint64_t max = ~std::uint64_t{0}) {
+    const auto value = util::parse_uint(next_value(i), max);
+    if (!value || *value < min) usage(argv[0]);
+    return *value;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--coordinator") {
       args.coordinator = true;
     } else if (flag == "--site") {
       args.has_site = true;
-      args.site = static_cast<std::uint32_t>(std::stoul(next_value(i)));
+      args.site = static_cast<std::uint32_t>(next_uint(i, 0, kU32));
     } else if (flag == "--transport") {
       args.transport = next_value(i);
     } else if (flag == "--num-sites") {
-      args.num_sites = static_cast<std::uint32_t>(std::stoul(next_value(i)));
+      args.num_sites = static_cast<std::uint32_t>(next_uint(i, 1, kU32));
     } else if (flag == "--seed") {
-      args.seed = std::stoull(next_value(i));
+      args.seed = next_uint(i, 0);
     } else if (flag == "--sample-size") {
-      args.sample_size = std::stoul(next_value(i));
+      args.sample_size = static_cast<std::size_t>(next_uint(i, 1, kU32));
     } else if (flag == "--elements") {
-      args.elements = std::stoull(next_value(i));
+      args.elements = next_uint(i, 0);
     } else if (flag == "--domain") {
-      args.domain = std::stoull(next_value(i));
+      args.domain = next_uint(i, 1);
     } else if (flag == "--port") {
-      args.port = static_cast<std::uint16_t>(std::stoul(next_value(i)));
+      args.port = static_cast<std::uint16_t>(
+          next_uint(i, 0, std::numeric_limits<std::uint16_t>::max()));
     } else if (flag == "--port-file") {
       args.port_file = next_value(i);
     } else if (flag == "--out") {
       args.out = next_value(i);
     } else if (flag == "--timeout") {
-      args.timeout = std::stod(next_value(i));
+      const auto value = util::parse_double(next_value(i));
+      if (!value || *value <= 0.0) usage(argv[0]);
+      args.timeout = *value;
     } else {
       usage(argv[0]);
     }
