@@ -13,8 +13,8 @@
 //                 at W while naive pays per tenant, so shared memory is
 //                 flat (sub-linear) in M.
 //   * queries/s — serve_all throughput over all M standing queries
-//                 (expiry-threshold walks of the order-statistic treap,
-//                 O(log n + s) each).
+//                 (an expiry-threshold partial select over the flat
+//                 candidate array each).
 //   * ingest x  — arrivals/s, shared (hashed + inserted once) over
 //                 naive (once per tenant): the serving-side ingest win.
 #include "bench_common.h"

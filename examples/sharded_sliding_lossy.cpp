@@ -23,30 +23,9 @@
 #include "net/sim_network.h"
 #include "obs/observability.h"
 #include "query/merge.h"
+#include "sim/sources.h"
 #include "util/cli.h"
 #include "util/rng.h"
-
-namespace {
-
-/// One slot's worth of arrivals.
-class SlotSource final : public dds::sim::ArrivalSource {
- public:
-  SlotSource(dds::sim::Slot slot,
-             std::vector<std::pair<dds::sim::NodeId, std::uint64_t>> xs)
-      : slot_(slot), xs_(std::move(xs)) {}
-  std::optional<dds::sim::Arrival> next() override {
-    if (pos_ >= xs_.size()) return std::nullopt;
-    const auto& [site, e] = xs_[pos_++];
-    return dds::sim::Arrival{slot_, site, e};
-  }
-
- private:
-  dds::sim::Slot slot_;
-  std::vector<std::pair<dds::sim::NodeId, std::uint64_t>> xs_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dds;
@@ -88,7 +67,7 @@ int main(int argc, char** argv) {
       xs.emplace_back(static_cast<sim::NodeId>(gen.next() % config.num_sites),
                       1 + gen.next() % 3000);
     }
-    SlotSource source(t, std::move(xs));
+    sim::SlotSource source(t, xs);
     system.run(source);
     if ((t + 3) % 150 == 0) {
       // About to read every shard: use the per-shard flush hook so

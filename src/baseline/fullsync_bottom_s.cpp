@@ -1,6 +1,5 @@
 #include "baseline/fullsync_bottom_s.h"
 
-#include <algorithm>
 
 #include "util/rng.h"
 
@@ -31,7 +30,6 @@ void BottomSSlidingSite::on_element_batch(
   if (hash_scratch_.size() < n) hash_scratch_.resize(n);
   sampler_.hash_fn().hash_batch(elements.data(), n, hash_scratch_.data());
   for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) sampler_.candidates().prefetch(elements[i + 1]);
     // observe_hashed keeps the per-element expire so the sync() below
     // sees the exact same candidate set as element-at-a-time ingest.
     sampler_.observe_hashed(elements[i], hash_scratch_[i], t);
@@ -53,26 +51,32 @@ void BottomSSlidingSite::restore_candidates(
 
 void BottomSSlidingSite::sync(sim::Slot now, net::Transport& bus) {
   sampler_.sample_into(now, bottom_);
-  // Drop shipped-records for tuples that left the local bottom-s; the
-  // coordinator's copies age out on their own. `still_` and `bottom_`
-  // are reused scratch — sync runs per arrival, so it must not
-  // allocate in steady state (clear/swap keep both maps' buckets).
-  still_.clear();
+  // Both the memo and the new bottom-s are (hash, element)-ordered and
+  // an element's hash never changes, so one merge walk finds each
+  // tuple's previous copy. Ship the tuples whose (element, expiry) the
+  // coordinator has not seen, in bottom-s order; tuples that left the
+  // local bottom-s age out of the coordinator pool on their own.
+  std::size_t j = 0;
   for (const auto& c : bottom_) {
-    auto it = shipped_.find(c.element);
-    if (it == shipped_.end() || it->second != c.expiry) {
-      sim::Message msg;
-      msg.from = id_;
-      msg.to = coordinator_;
-      msg.type = sim::MsgType::kSlidingReport;
-      msg.a = c.element;
-      msg.b = c.hash;
-      msg.c = static_cast<std::uint64_t>(c.expiry);
-      bus.send(msg);
+    while (j < shipped_.size() &&
+           (shipped_[j].hash < c.hash ||
+            (shipped_[j].hash == c.hash && shipped_[j].element < c.element))) {
+      ++j;
     }
-    still_.emplace(c.element, c.expiry);
+    if (j < shipped_.size() && shipped_[j].element == c.element &&
+        shipped_[j].expiry == c.expiry) {
+      continue;
+    }
+    sim::Message msg;
+    msg.from = id_;
+    msg.to = coordinator_;
+    msg.type = sim::MsgType::kSlidingReport;
+    msg.a = c.element;
+    msg.b = c.hash;
+    msg.c = static_cast<std::uint64_t>(c.expiry);
+    bus.send(msg);
   }
-  shipped_.swap(still_);
+  shipped_.swap(bottom_);
 }
 
 BottomSSlidingCoordinator::BottomSSlidingCoordinator(sim::NodeId id,

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/windowed_bottom_s.h"
@@ -70,11 +69,13 @@ class BottomSSlidingSite final : public sim::StreamNode {
   sim::NodeId id_;
   sim::NodeId coordinator_;
   core::WindowedBottomSSampler sampler_;
-  /// element -> expiry last shipped; pruned to the current bottom-s.
-  std::unordered_map<stream::Element, sim::Slot> shipped_;
-  /// Reused per-sync scratch (sync runs per arrival — no allocations).
-  std::vector<treap::Candidate> bottom_;
-  std::unordered_map<stream::Element, sim::Slot> still_;
+  /// The shipped-memo: the local bottom-s of the previous sync, in
+  /// (hash, element) order. After every sync the coordinator has seen
+  /// exactly these (element, expiry) pairs, so a tuple needs shipping
+  /// iff its pair is not in here. Swapped with `bottom_` per sync — both
+  /// vectors keep their capacity, so sync never allocates.
+  std::vector<treap::Candidate> shipped_;
+  std::vector<treap::Candidate> bottom_;  ///< reused per-sync scratch
   std::vector<std::uint64_t> hash_scratch_;  ///< batched-hash buffer
 };
 
@@ -111,7 +112,7 @@ class BottomSSlidingCoordinator final : public sim::Node {
   /// s dominators (smaller hash, later expiry) have all been reported
   /// can never re-enter the window bottom-s, so the pool keeps
   /// O(s log(M/s)) expected state instead of every live report, and
-  /// bottom_s() is an O(log n + s) ordered walk instead of a
+  /// bottom_s() is a copy of the set's bottom-s cache instead of a
   /// filter+sort over the full pool. In a sharded deployment this is
   /// the per-shard coordinator state. Mutable: queries advance the
   /// expiry sweep (a cache-style mutation — answers depend only on

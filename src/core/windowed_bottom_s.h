@@ -60,8 +60,8 @@ class WindowedBottomSSampler {
   /// window()) ending at `now`, into a reused buffer. A tuple observed
   /// at slot a expires at a + W, so it lies inside the width-w window
   /// iff a > now - w, i.e. expiry > now + (W - w): the query is an
-  /// expiry-threshold walk of the shared candidate structure (expected
-  /// O(log n + s) via the by-hash treap's max-expiry aggregate), and it
+  /// expiry-threshold select over the shared candidate structure (a
+  /// binary search for the valid suffix plus a partial select), and it
   /// is exact because any member of the w-window's bottom-s has fewer
   /// than s smaller-hash later-expiring tuples (those would be in the
   /// w-window too) and hence survives s-dominance pruning at W. This is

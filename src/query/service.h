@@ -16,10 +16,10 @@
 //   * Serve any width by expiry threshold. A tuple observed at slot a
 //     lies inside the width-w window ending at `now` iff a > now - w,
 //     i.e. iff expiry > now + (W - w). So tenant i's answer is "the
-//     bottom-s among tuples with expiry above a threshold" — an
-//     expected O(log n + s) walk of the by-hash order-statistic treap
-//     guided by its max-expiry subtree aggregate
-//     (treap::SDominanceSet::bottom_s_valid_after).
+//     bottom-s among tuples with expiry above a threshold" — a binary
+//     search for the valid suffix of the expiry-ordered flat array and
+//     a partial select over it, served from the bottom-s cache at the
+//     widest width (treap::SDominanceSet::bottom_s_valid_after).
 //
 //   * Exactness. Any member of the width-w window's true bottom-s has
 //     fewer than s smaller-hash tuples in the w-window; each of those

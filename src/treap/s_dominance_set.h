@@ -1,5 +1,5 @@
-// SDominanceSet — the bottom-s generalization of the dominance set, on
-// the pooled order-statistic treap.
+// SDominanceSet — the bottom-s generalization of the dominance set, as
+// one flat array.
 //
 // The paper handles window sample sizes s > 1 by running s independent
 // copies of the single-sample protocol (a with-replacement sample; see
@@ -13,36 +13,41 @@
 // again be among the s smallest in-window hashes (its s dominators all
 // outlive it). For s = 1 this degenerates to DominanceSet's rule.
 //
-// Representation. Two pooled treaps over the same logical tuple set:
+// Representation. The expected size is O(s(1 + log(M/s))) for M
+// distinct in-window elements (the bottom-s analogue of Lemma 10) — a
+// few dozen to a few hundred tuples — so the tuples live in ONE array
+// in (expiry, hash, element) order (sample_key_less, the order of
+// DominanceSet's flat ring):
 //
-//   * `by_expiry_` — keyed (expiry, hash, element). Window expiry is a
-//     bulk prefix detach, O(log n + expired); the dominance sweep walks
-//     it in descending key order.
-//   * `by_hash_`  — keyed (hash, element), valued by expiry. Because
-//     the pooled treap maintains subtree sizes, this is an
-//     order-statistic tree: bottom_s() reads the first s entries
-//     straight off an in-order walk (O(log n + s), already
-//     hash-ascending — no snapshot copy, no sort), kth_smallest() and
-//     hash_rank() answer rank queries in O(log n).
+//   * window expiry drops a prefix: a head index advances, and the dead
+//     prefix is compacted away only when the array would otherwise
+//     grow, so steady-state churn allocates nothing;
+//   * observe() appends at or near the end; coordinator insert() and
+//     load_snapshot() place mid-array;
+//   * duplicate refresh is a linear element scan.
 //
-// A SlotIndex (open addressing over by_expiry_'s pool slots) replaces
-// the former O(|T|) linear scan for duplicate refresh.
-//
-// Updates use an early-terminating dominance sweep instead of the old
-// full O(|T| log |T|) re-prune: walk equal-expiry groups in descending
-// expiry order, maintaining the s smallest later-survivor hashes twice
-// — once for the pre-update state (W_old), once with the newcomer
-// virtually inserted (W_new). A tuple is newly prunable iff it fails
-// against W_new; the instant W_new == W_old every judgment below is
+// Updates use an early-terminating dominance sweep, an index loop from
+// the back of the array: walk equal-expiry groups (contiguous runs) in
+// descending expiry order, maintaining W_old, the s smallest hashes of
+// the later stored tuples. The post-update working set is derived from
+// it, W_new = s-smallest(W_old ∪ newcomers): a tuple is newly prunable
+// iff it fails against W_new, and the instant W_new == W_old (W_old
+// full, no newcomer below its maximum) every judgment below is
 // unchanged from the pre-update state (which satisfied the invariant),
 // so the sweep stops. The newcomer's hash falls out of the working set
 // after s smaller later hashes have been seen, so sweeps are short in
-// practice — the abl7 bench measures tuples-swept-per-update staying
+// practice — the abl7 bench measures tuples swept per update staying
 // sublinear in |T| (docs/substrates.md).
 //
-// The expected size is O(s(1 + log(M/s))) for M distinct in-window
-// elements (the bottom-s analogue of Lemma 10). The fuzz suite checks
-// behaviour against an O(n^2) reference.
+// Bottom-s reads come from a cached copy of the s smallest-hash tuples.
+// Only two events change the bottom-s: a newcomer below the current
+// s-th hash (merged into the cache in O(s)), or the expiry of a member
+// (the cache is rebuilt by one partial select on the next read). A
+// refresh keeps its hash, so it only updates a cached expiry, and a
+// pruned victim already has s smaller-hash survivors, so it is never a
+// member of the new bottom-s.
+//
+// The fuzz suites check behaviour against an O(n^2) reference.
 #pragma once
 
 #include <cstdint>
@@ -50,20 +55,19 @@
 #include <vector>
 
 #include "treap/dominance_set.h"
-#include "treap/slot_index.h"
-#include "treap/treap.h"
 
 namespace dds::treap {
 
 /// The bottom-s candidate set: every tuple that could still belong to
 /// the bottom-s of some current or future window (a tuple dies once s
-/// later-expiring, smaller-hash tuples exist). Two pooled treaps —
-/// by-expiry for expiry/sweeps, by-hash as an order-statistic tree for
-/// bottom-s and rank queries — plus a SlotIndex for duplicate refresh.
+/// later-expiring, smaller-hash tuples exist). One flat array in
+/// (expiry, hash, element) order plus a cached bottom-s.
 class SDominanceSet {
  public:
-  /// `sample_size` is s (> 0, throws std::invalid_argument otherwise);
-  /// `seed` salts the treap priorities.
+  /// `sample_size` is s (> 0, throws std::invalid_argument otherwise).
+  /// `seed` is accepted for interface stability and unused: the flat
+  /// representation has no randomized structure. Allocates nothing;
+  /// storage grows on first use.
   explicit SDominanceSet(std::size_t sample_size,
                          std::uint64_t seed = 0x73646f6dULL);
 
@@ -91,68 +95,50 @@ class SDominanceSet {
                      const std::uint64_t* hashes, std::size_t n,
                      sim::Slot expiry);
 
-  /// Drops tuples with expiry <= now. O(log n + expired).
+  /// Drops tuples with expiry <= now: a head advance, O(expired).
   void expire(sim::Slot now);
 
-  /// The up-to-s smallest-hash candidates, hash-ascending: the first s
-  /// entries of the order-statistic tree, O(log n + s). (Historically
-  /// this copied the full snapshot and sorted it.)
+  /// The up-to-s smallest-hash candidates, ordered by (hash, element).
   std::vector<Candidate> bottom_s() const;
 
-  /// Appends the bottom-s into `out` (cleared first) without returning
+  /// Writes the bottom-s into `out` (cleared first) without returning
   /// a fresh vector — the allocation-free variant for per-slot callers.
+  /// A copy of the cache, O(s); O(|T|) after a member expired.
   void bottom_s_into(std::vector<Candidate>& out) const;
 
   /// Multi-width query: the up-to-`count` smallest-hash candidates among
-  /// tuples with expiry strictly greater than `min_expiry`, appended to
-  /// `out` (cleared first), hash-ascending. With tuples keyed at width W
-  /// and `min_expiry = now + (W - w)`, this is the bottom-s of the
-  /// narrower window w: any tuple of the w-window's true bottom-s has
-  /// fewer than s smaller-hash tuples expiring later (those would be in
-  /// the w-window too), so it survives s-dominance pruning at W and is
-  /// stored here. Served by the by-hash treap's max-expiry aggregate —
-  /// subtrees holding no tuple valid at w are skipped — in expected
-  /// O(log n + count). Allocation-free once `out` has capacity.
+  /// tuples with expiry strictly greater than `min_expiry`, written to
+  /// `out` (cleared first), ordered by (hash, element). With tuples
+  /// keyed at width W and `min_expiry = now + (W - w)`, this is the
+  /// bottom-s of the narrower window w: any tuple of the w-window's true
+  /// bottom-s has fewer than s smaller-hash tuples expiring later (those
+  /// would be in the w-window too), so it survives s-dominance pruning
+  /// at W and is stored here. The valid tuples are an array suffix
+  /// (binary search), and the answer is a partial select over it —
+  /// served from the bottom-s cache when the suffix is the whole set.
+  /// Allocation-free once `out` has capacity.
   void bottom_s_valid_after(sim::Slot min_expiry,
                             std::vector<Candidate>& out) const;
   void bottom_s_valid_after(sim::Slot min_expiry, std::size_t count,
                             std::vector<Candidate>& out) const;
 
-  /// Smallest-hash candidate (== bottom_s().front()); O(log n).
+  /// Smallest-hash candidate (== bottom_s().front()).
   std::optional<Candidate> min_hash() const;
 
-  /// The k-th smallest-hash candidate (0-based), or nullopt if
-  /// k >= size(). O(log n) via subtree sizes.
-  std::optional<Candidate> kth_smallest(std::size_t k) const;
-
-  /// Number of stored tuples with hash strictly below `hash`. O(log n).
-  std::size_t hash_rank(std::uint64_t hash) const;
-
-  std::size_t size() const noexcept { return by_expiry_.size(); }
-  bool empty() const noexcept { return by_expiry_.empty(); }
+  std::size_t size() const noexcept { return items_.size() - head_; }
+  bool empty() const noexcept { return size() == 0; }
   std::size_t sample_size() const noexcept { return s_; }
   bool contains(std::uint64_t element) const;
 
-  /// Prefetch hint for the batched ingest pipeline: pulls the lines the
-  /// next observe(element, ...) touches first (index probe line + the
-  /// by-expiry root).
-  void prefetch(std::uint64_t element) const noexcept {
-    index_.prefetch(element);
-    by_expiry_.prefetch_root();
-  }
-
-  /// Bytes reserved by both treap pools, the index, and the sweep
-  /// scratch; footprint accounting for the multi-tenant comparison.
+  /// Bytes reserved by the tuple array, the bottom-s cache and the
+  /// sweep scratch; footprint accounting for the multi-tenant
+  /// comparison.
   std::size_t footprint_bytes() const noexcept {
-    return by_expiry_.pool_bytes() + by_hash_.pool_bytes() +
-           index_.table_bytes() +
-           w_old_.capacity() * sizeof(std::uint64_t) +
-           w_new_.capacity() * sizeof(std::uint64_t) +
-           group_.capacity() * sizeof(Candidate) +
-           group_victim_.capacity() +
-           victims_.capacity() * sizeof(ExpKey) +
-           (fresh_elems_.capacity() + fresh_hashes_.capacity()) *
-               sizeof(std::uint64_t);
+    return (items_.capacity() + bottom_.capacity()) * sizeof(Candidate) +
+           (w_old_.capacity() + newcomers_.capacity() +
+            fresh_elems_.capacity() + fresh_hashes_.capacity()) *
+               sizeof(std::uint64_t) +
+           victims_.capacity() * sizeof(std::size_t);
   }
 
   /// All tuples in (expiry, hash, element) order.
@@ -168,57 +154,81 @@ class SDominanceSet {
   /// reproduces the snapshotted set.
   void load_snapshot(const std::vector<Candidate>& items);
 
-  /// Checks that no stored tuple is s-dominated, elements are unique,
-  /// and the two treaps + slot index agree tuple for tuple. O(n^2)
-  /// test hook.
+  /// Checks that the array is strictly ordered by sample_key_less,
+  /// elements are unique, no stored tuple is s-dominated, and a fresh
+  /// bottom-s cache equals the recomputed bottom-s. O(n^2) test hook.
   bool check_invariants() const;
 
   // ---- instrumentation (abl7 sublinearity rows) ---------------------
   /// Stored tuples examined by dominance sweeps so far; divide by
   /// updates() for the mean per-update sweep length.
   std::uint64_t swept_tuples() const noexcept { return stat_swept_; }
-  /// observe()/insert() calls so far.
+  /// observe()/insert() calls so far (observe_group counts each of its
+  /// n arrivals).
   std::uint64_t updates() const noexcept { return stat_updates_; }
 
  private:
-  using ExpKey = SampleKey;
-
-  struct HashKey {
-    std::uint64_t hash;
-    std::uint64_t element;
-
-    friend bool operator<(const HashKey& a, const HashKey& b) noexcept {
-      if (a.hash != b.hash) return a.hash < b.hash;
-      return a.element < b.element;
-    }
-  };
-
-  std::uint64_t element_at(std::uint32_t slot) const {
-    return by_expiry_.key_at(slot).element;
-  }
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   /// Shared observe/insert body; `newest` marks observe()'s
   /// max-expiry precondition (its newcomer can never be dominated).
   void update(std::uint64_t element, std::uint64_t hash, sim::Slot expiry,
               bool newest);
 
-  /// Removes one tuple from both treaps and the index.
-  void erase_tuple(const ExpKey& key);
+  /// The dominance sweep for newcomers `hashes[0, n)` that all carry
+  /// `expiry`: records the newly prunable tuples' indices in victims_
+  /// (descending) and returns true iff the newcomers are themselves
+  /// s-dominated (possible only for a single insert() newcomer, and
+  /// then victims_ is empty).
+  bool sweep(const std::uint64_t* hashes, std::size_t n, sim::Slot expiry);
+  /// Folds `h` into w_old_ (the s smallest later hashes); returns true
+  /// iff w_old_ changed.
+  bool fold(std::uint64_t h);
+  /// The prune threshold max(W_new), W_new = s-smallest(w_old_ ∪
+  /// newcomers_), or ~0 while W_new holds fewer than s hashes (nothing
+  /// can be pruned yet).
+  std::uint64_t new_threshold() const noexcept;
+
+  /// Index of `element`'s tuple in items_, or kNone.
+  std::size_t find(std::uint64_t element) const noexcept;
+  /// Removes the tuple at index `i`, shifting the shorter side.
+  void erase_at(std::size_t i);
+  /// Removes the indices in victims_ (descending) in one pass.
+  void erase_victims();
+  /// Inserts `c` at its sample_key_less position, scanning back from
+  /// the end (observe() newcomers land at or near it).
+  void place(const Candidate& c);
+  /// Guarantees room for one more tuple without a reallocation-per-push:
+  /// compacts the dead prefix, then doubles while more than half full.
+  void make_room();
+
+  /// Merges a newly stored (or refreshed) tuple into a fresh cache.
+  void bottom_offer(const Candidate& c);
+  /// Rebuilds the cache when a member expired (or it was invalidated).
+  void refresh_bottom() const;
+  /// Bounded select: the `count` smallest (hash, element) tuples of
+  /// items_[from, size()) into `out` (cleared first), ordered.
+  void select_smallest(std::size_t from, std::size_t count,
+                       std::vector<Candidate>& out) const;
 
   std::size_t s_;
-  Treap<ExpKey, char> by_expiry_;
-  /// Value: the tuple's expiry. MaxAgg maintains each subtree's max
-  /// expiry, which bottom_s_valid_after uses to skip subtrees with no
-  /// tuple valid at the queried width.
-  Treap<HashKey, sim::Slot, std::less<HashKey>, /*MaxAgg=*/true> by_hash_;
-  SlotIndex index_;                    ///< element -> by_expiry_ slot
+  /// Live tuples are items_[head_, items_.size()), sample_key_less
+  /// ascending.
+  std::vector<Candidate> items_;
+  std::size_t head_ = 0;
+
+  /// The bottom-s of the live tuples, (hash, element) ascending, valid
+  /// while bottom_fresh_. Mutable: const reads rebuild it lazily.
+  mutable std::vector<Candidate> bottom_;
+  mutable bool bottom_fresh_ = true;
 
   // Sweep scratch, reused across updates (allocation-free steady state).
-  std::vector<std::uint64_t> w_old_;      ///< s smallest later hashes, pre-update
-  std::vector<std::uint64_t> w_new_;      ///< same, with the newcomer inserted
-  std::vector<Candidate> group_;          ///< current equal-expiry group
-  std::vector<unsigned char> group_victim_;
-  std::vector<ExpKey> victims_;
+  /// The s smallest later hashes, ascending, in s slots; the first
+  /// held_ are real and the rest hold ~0.
+  std::vector<std::uint64_t> w_old_;
+  std::size_t held_ = 0;
+  std::vector<std::uint64_t> newcomers_;  ///< the sweep's newcomer hashes, ascending
+  std::vector<std::size_t> victims_;
   std::vector<std::uint64_t> fresh_elems_;   ///< observe_group survivors
   std::vector<std::uint64_t> fresh_hashes_;  ///< of the stale/dup filter
 

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -49,20 +48,8 @@ namespace dds::treap {
 /// is what lets callers build side-indexes keyed by slot — see
 /// slot_index.h — instead of owning a second element->key hash map.
 ///
-/// Subtree sizes are maintained on every path, so the treap doubles as
-/// an order-statistic tree: kth() selects by rank and rank_of() counts
-/// keys below a bound, both in O(log n).
-///
-/// With MaxAgg = true each node additionally carries the maximum value
-/// in its subtree (V must be `<`-comparable), maintained through every
-/// structural operation. This turns the treap into a key-ordered /
-/// value-thresholded range tree: for_each_while_value_above() walks
-/// entries in key order visiting only values above a threshold, pruning
-/// whole subtrees via the aggregate — expected O(log n + visited). The
-/// multi-width window queries (bottom-s among tuples still valid at a
-/// narrower width) are built on exactly this walk.
-template <typename K, typename V, typename Compare = std::less<K>,
-          bool MaxAgg = false>
+/// Subtree sizes are maintained on every path, so size() is O(1).
+template <typename K, typename V, typename Compare = std::less<K>>
 class Treap {
  public:
   /// Slot sentinel: "no such node". Returned by insert_slot() on
@@ -152,12 +139,7 @@ class Treap {
       pool_[parent].right = replacement;
     }
     if (found) return kNoSlot;
-    for (std::uint32_t idx : path_) {
-      ++pool_[idx].size;
-      if constexpr (MaxAgg) {
-        if (pool_[idx].agg < value) pool_[idx].agg = value;
-      }
-    }
+    for (std::uint32_t idx : path_) ++pool_[idx].size;
     return replacement;
   }
 
@@ -179,13 +161,7 @@ class Treap {
       } else {
         *slot = merge(n.left, n.right);
         release(node);
-        if constexpr (MaxAgg) {
-          // The erased value may have been an ancestor's max; recompute
-          // bottom-up (a plain decrement cannot shrink a max).
-          for (std::size_t i = path_.size(); i-- > 0;) update(path_[i]);
-        } else {
-          for (std::uint32_t idx : path_) --pool_[idx].size;
-        }
+        for (std::uint32_t idx : path_) --pool_[idx].size;
         return true;
       }
     }
@@ -224,130 +200,6 @@ class Treap {
 
   /// Value stored in `slot`; same validity rules as key_at().
   const V& value_at(std::uint32_t slot) const { return pool_[slot].value; }
-
-  /// The i-th smallest entry (0-based), or nullopt if i >= size().
-  /// O(log n) via the subtree-size counters.
-  std::optional<std::pair<K, V>> kth(std::size_t i) const {
-    if (i >= size()) return std::nullopt;
-    std::uint32_t cur = root_;
-    while (true) {
-      const Node& n = pool_[cur];
-      const std::size_t left = size_of(n.left);
-      if (i < left) {
-        cur = n.left;
-      } else if (i == left) {
-        return std::make_pair(n.key, n.value);
-      } else {
-        i -= left + 1;
-        cur = n.right;
-      }
-    }
-  }
-
-  /// Number of stored keys strictly below `key` (== the rank `key`
-  /// would have). O(log n) via the subtree-size counters.
-  std::size_t rank_of(const K& key) const {
-    std::size_t rank = 0;
-    std::uint32_t cur = root_;
-    while (cur != kNil) {
-      const Node& n = pool_[cur];
-      if (cmp_(n.key, key)) {
-        rank += size_of(n.left) + 1;
-        cur = n.right;
-      } else {
-        cur = n.left;
-      }
-    }
-    return rank;
-  }
-
-  /// Ascending in-order traversal that stops early: `fn(key, value)`
-  /// returns true to continue, false to stop. Returns true iff the
-  /// traversal visited every entry. The scratch stack is used as an
-  /// arena, so fn may start another while-traversal of this same treap
-  /// (it must still not mutate it); not thread-safe.
-  template <typename Fn>
-  bool for_each_while(Fn fn) const {
-    const std::size_t base = walk_.size();
-    std::uint32_t cur = root_;
-    bool complete = true;
-    while (cur != kNil || walk_.size() > base) {
-      while (cur != kNil) {
-        walk_.push_back(cur);
-        cur = pool_[cur].left;
-      }
-      cur = walk_.back();
-      walk_.pop_back();
-      if (!fn(pool_[cur].key, pool_[cur].value)) {
-        complete = false;
-        break;
-      }
-      cur = pool_[cur].right;
-    }
-    walk_.resize(base);
-    return complete;
-  }
-
-  /// In-order traversal restricted to entries whose value compares
-  /// strictly above `threshold`. Requires MaxAgg: subtrees whose
-  /// max-value aggregate is <= threshold are skipped wholesale, so the
-  /// walk costs expected O(log n + visited) instead of O(n). `fn(key,
-  /// value)` returns true to continue; returns true iff every qualifying
-  /// entry was visited. Same arena re-entrancy rules as for_each_while.
-  ///
-  /// This is the multi-width window query: with values = expiry slots
-  /// and keys = (hash, element), the bottom-s tuples still valid at a
-  /// narrower width w are the first s entries with expiry > now + (W-w).
-  template <typename Fn>
-  bool for_each_while_value_above(const V& threshold, Fn fn) const {
-    static_assert(MaxAgg,
-                  "for_each_while_value_above needs the max-value aggregate");
-    const std::size_t base = walk_.size();
-    std::uint32_t cur = root_;
-    bool complete = true;
-    while (true) {
-      while (cur != kNil && threshold < pool_[cur].agg) {
-        walk_.push_back(cur);
-        cur = pool_[cur].left;
-      }
-      if (walk_.size() == base) break;
-      cur = walk_.back();
-      walk_.pop_back();
-      const Node& n = pool_[cur];
-      if (threshold < n.value && !fn(n.key, n.value)) {
-        complete = false;
-        break;
-      }
-      cur = n.right;
-    }
-    walk_.resize(base);
-    return complete;
-  }
-
-  /// Descending in-order traversal that stops early; mirror of
-  /// for_each_while (same re-entrancy rules). Returns true iff every
-  /// entry was visited.
-  template <typename Fn>
-  bool for_each_reverse_while(Fn fn) const {
-    const std::size_t base = walk_.size();
-    std::uint32_t cur = root_;
-    bool complete = true;
-    while (cur != kNil || walk_.size() > base) {
-      while (cur != kNil) {
-        walk_.push_back(cur);
-        cur = pool_[cur].right;
-      }
-      cur = walk_.back();
-      walk_.pop_back();
-      if (!fn(pool_[cur].key, pool_[cur].value)) {
-        complete = false;
-        break;
-      }
-      cur = pool_[cur].left;
-    }
-    walk_.resize(base);
-    return complete;
-  }
 
   /// Smallest key with its value, or nullopt if empty.
   std::optional<std::pair<K, V>> front() const {
@@ -494,14 +346,6 @@ class Treap {
         stack.push_back({n.right, &n.key, f.hi});
       }
       if (n.size != expected) return false;
-      if constexpr (MaxAgg) {
-        V want = n.value;
-        if (n.left != kNil && want < pool_[n.left].agg) want = pool_[n.left].agg;
-        if (n.right != kNil && want < pool_[n.right].agg) {
-          want = pool_[n.right].agg;
-        }
-        if (n.agg < want || want < n.agg) return false;
-      }
     }
     return live + free_count == pool_.size();
   }
@@ -533,11 +377,6 @@ class Treap {
     return util::mix64(prio_salt_ ^ prio_counter_++);
   }
 
-  struct NoAgg {};
-  /// Subtree max-value aggregate; an empty tag when MaxAgg is off so the
-  /// node layout (and every non-aggregated instantiation) is unchanged.
-  using AggStorage = std::conditional_t<MaxAgg, V, NoAgg>;
-
   struct Node {
     K key;
     V value;
@@ -545,7 +384,6 @@ class Treap {
     std::uint32_t size;
     std::uint32_t left;   // doubles as the freelist link when released
     std::uint32_t right;
-    [[no_unique_address]] AggStorage agg;
   };
 
   std::uint32_t size_of(std::uint32_t n) const noexcept {
@@ -555,12 +393,6 @@ class Treap {
   void update(std::uint32_t n) noexcept {
     Node& nd = pool_[n];
     nd.size = 1 + size_of(nd.left) + size_of(nd.right);
-    if constexpr (MaxAgg) {
-      V m = nd.value;
-      if (nd.left != kNil && m < pool_[nd.left].agg) m = pool_[nd.left].agg;
-      if (nd.right != kNil && m < pool_[nd.right].agg) m = pool_[nd.right].agg;
-      nd.agg = m;
-    }
   }
 
   /// Takes a slot from the freelist or grows the pool. May invalidate
@@ -576,12 +408,10 @@ class Treap {
       n.size = 1;
       n.left = kNil;
       n.right = kNil;
-      if constexpr (MaxAgg) n.agg = value;
       return idx;
     }
     assert(pool_.size() < kNil);
     pool_.push_back(Node{key, value, prio, 1, kNil, kNil});
-    if constexpr (MaxAgg) pool_.back().agg = value;
     return static_cast<std::uint32_t>(pool_.size() - 1);
   }
 
@@ -695,18 +525,12 @@ class Treap {
       if (pool_[a].priority >= pool_[b].priority) {
         Node& n = pool_[a];
         n.size += size_of(b);
-        if constexpr (MaxAgg) {
-          if (n.agg < pool_[b].agg) n.agg = pool_[b].agg;
-        }
         *slot = a;
         slot = &n.right;
         a = n.right;
       } else {
         Node& n = pool_[b];
         n.size += size_of(a);
-        if constexpr (MaxAgg) {
-          if (n.agg < pool_[a].agg) n.agg = pool_[a].agg;
-        }
         *slot = b;
         slot = &n.left;
         b = n.left;
@@ -756,7 +580,6 @@ class Treap {
     const Node& sr = from.pool_[src_root];
     const std::uint32_t dst_root = acquire(sr.key, sr.value, sr.priority);
     pool_[dst_root].size = sr.size;
-    if constexpr (MaxAgg) pool_[dst_root].agg = sr.agg;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> stack;  // src, dst
     stack.emplace_back(src_root, dst_root);
     while (!stack.empty()) {
@@ -769,7 +592,6 @@ class Treap {
         const Node& cn = from.pool_[child];
         const std::uint32_t c = acquire(cn.key, cn.value, cn.priority);
         pool_[c].size = cn.size;
-        if constexpr (MaxAgg) pool_[c].agg = cn.agg;
         if (left_side) {
           pool_[d].left = c;
         } else {
@@ -790,11 +612,6 @@ class Treap {
   /// two are live at the same time inside insert, never deeper.
   std::vector<std::uint32_t> path_;
   std::vector<std::uint32_t> scratch_;
-  /// Scratch arena for the const while-traversals (for_each_while /
-  /// for_each_reverse_while): each traversal operates above the size it
-  /// found on entry and truncates back on exit, so traversals nest.
-  /// Grows to (max depth x nesting) once, then reused.
-  mutable std::vector<std::uint32_t> walk_;
   std::uint64_t prio_salt_;
   std::uint64_t prio_counter_ = 0;
   Compare cmp_{};

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <sstream>
 #include <stdexcept>
 
@@ -23,8 +25,41 @@ std::optional<T> from_chars_exact(std::string_view text) {
 
 [[noreturn]] void bad_value(const std::string& name, const std::string& value,
                             const char* expected) {
-  throw std::invalid_argument("Cli: --" + name + " expects " + expected +
-                              ", got '" + value + "'");
+  throw CliError("Cli: --" + name + " expects " + expected + ", got '" +
+                 value + "'");
+}
+
+// The usage text of the last parse(), for the terminate handler.
+std::string& parsed_usage() {
+  static std::string usage;
+  return usage;
+}
+
+std::terminate_handler previous_terminate = nullptr;
+
+// An uncaught CliError is a usage error, not a crash: print it with the
+// usage and exit 2. Anything else goes to the previous handler.
+[[noreturn]] void on_terminate() {
+  if (const std::exception_ptr e = std::current_exception()) {
+    try {
+      std::rethrow_exception(e);
+    } catch (const CliError& err) {
+      std::fprintf(stderr, "%s\n%s", err.what(), parsed_usage().c_str());
+      std::fflush(stderr);
+      std::_Exit(2);
+    } catch (...) {
+    }
+  }
+  if (previous_terminate != nullptr) previous_terminate();
+  std::abort();
+}
+
+void install_terminate_handler() {
+  static const bool installed = [] {
+    previous_terminate = std::set_terminate(on_terminate);
+    return true;
+  }();
+  (void)installed;
 }
 
 }  // namespace
@@ -58,6 +93,8 @@ Cli& Cli::boolean(std::string name, std::string help) {
 }
 
 bool Cli::parse(int argc, const char* const* argv) {
+  parsed_usage() = usage(argc > 0 ? argv[0] : "program");
+  install_terminate_handler();
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {

@@ -177,7 +177,12 @@ INSTANTIATE_TEST_SUITE_P(
         ProtocolParams{8, 4, stream::Distribution::kDominate, 1000, 4000, 6},
         ProtocolParams{20, 50, stream::Distribution::kRandom, 3000, 6000, 7},
         ProtocolParams{100, 20, stream::Distribution::kRandom, 2000, 4000,
-                       8}));
+                       8}),
+    [](const ::testing::TestParamInfo<ProtocolParams>& info) {
+      return "k" + std::to_string(info.param.sites) + "_s" +
+             std::to_string(info.param.sample_size) + "_seed" +
+             std::to_string(info.param.seed);
+    });
 
 // ------------------------------------------------------- edge cases ----
 

@@ -19,6 +19,7 @@
 #include "core/system.h"
 #include "core/windowed_bottom_s.h"
 #include "query/hyperloglog.h"
+#include "sim/bus.h"
 #include "sim/sources.h"
 #include "query/set_operations.h"
 #include "stream/churn.h"
@@ -64,6 +65,33 @@ class NaiveSDominance {
               [](const auto& a, const auto& b) { return a.hash < b.hash; });
     if (out.size() > s_) out.resize(s_);
     return out;
+  }
+  /// The `count` smallest (hash, element) tuples with expiry above
+  /// `min_expiry` — the flat set's bottom-s order, ties included.
+  std::vector<treap::Candidate> bottom_valid_after(sim::Slot min_expiry,
+                                                   std::size_t count) const {
+    std::vector<treap::Candidate> out;
+    for (const auto& c : items_) {
+      if (c.expiry > min_expiry) out.push_back(c);
+    }
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return std::pair(a.hash, a.element) < std::pair(b.hash, b.element);
+    });
+    if (out.size() > count) out.resize(count);
+    return out;
+  }
+  /// All tuples in (expiry, hash, element) order, as snapshot() lists.
+  std::vector<treap::Candidate> snapshot() const {
+    auto out = items_;
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return treap::sample_key_less(a, b);
+    });
+    return out;
+  }
+  void clear() { items_.clear(); }
+  bool contains(Element e) const {
+    return std::any_of(items_.begin(), items_.end(),
+                       [e](const auto& c) { return c.element == e; });
   }
   std::size_t size() const { return items_.size(); }
 
@@ -151,7 +179,111 @@ INSTANTIATE_TEST_SUITE_P(
                       SDomParams{4, 200, 40, 3, 0},
                       SDomParams{8, 30, 15, 4, 0},   // heavy duplicates
                       SDomParams{3, 100, 30, 5, 7},  // with inserts
-                      SDomParams{5, 1000, 60, 6, 11}));
+                      SDomParams{5, 1000, 60, 6, 11}),
+    [](const ::testing::TestParamInfo<SDomParams>& info) {
+      return "s" + std::to_string(info.param.s) + "_seed" +
+             std::to_string(info.param.seed);
+    });
+
+// Seeded differential test of the flat set's hot path: random
+// interleavings of observe, arbitrary-expiry insert, observe_group,
+// expire, clear and load_snapshot, checked after EVERY step against the
+// naive reference. Every read goes through the bottom-s cache, so a
+// stale cache after a refresh, an expiry or a victim prune shows up as
+// a mismatch at the step that caused it. The tiny hash space of the
+// last rows forces equal hashes across elements.
+TEST(SDominanceSet, DifferentialAgainstNaiveAfterEveryStep) {
+  struct Row {
+    std::size_t s;
+    std::uint64_t domain;
+    std::uint64_t hash_space;  // 0: full 64-bit hashes
+    std::uint64_t seed;
+  };
+  for (const Row row : {Row{1, 40, 0, 1}, Row{3, 25, 0, 2},
+                        Row{4, 400, 0, 3}, Row{8, 60, 0, 4},
+                        Row{16, 200, 0, 5}, Row{3, 30, 16, 6},
+                        Row{5, 50, 8, 7}}) {
+    constexpr sim::Slot kWindow = 24;
+    treap::SDominanceSet set(row.s);
+    NaiveSDominance ref(row.s);
+    hash::HashFunction mix(hash::HashKind::kMurmur2, row.seed);
+    const auto h = [&](Element e) {
+      return row.hash_space == 0 ? mix(e) : mix(e) % row.hash_space;
+    };
+    util::Xoshiro256StarStar rng(row.seed * 7919);
+    std::vector<treap::Candidate> got;
+    std::vector<std::uint64_t> elems, hashes;
+    sim::Slot t = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const std::uint64_t op = rng.next_below(100);
+      if (op < 40) {
+        const Element e = 1 + rng.next_below(row.domain);
+        set.observe(e, h(e), t + kWindow);
+        ref.observe(e, h(e), t + kWindow);
+      } else if (op < 55) {
+        const Element e = 1 + rng.next_below(row.domain);
+        const sim::Slot expiry =
+            t + 1 + static_cast<sim::Slot>(rng.next_below(kWindow));
+        set.insert(e, h(e), expiry);
+        ref.insert(e, h(e), expiry);
+      } else if (op < 70) {
+        elems.clear();
+        hashes.clear();
+        for (std::uint64_t n = 1 + rng.next_below(6); n > 0; --n) {
+          elems.push_back(1 + rng.next_below(row.domain));
+          hashes.push_back(h(elems.back()));
+        }
+        set.observe_group(elems.data(), hashes.data(), elems.size(),
+                          t + kWindow);
+        for (std::size_t i = 0; i < elems.size(); ++i) {
+          ref.observe(elems[i], hashes[i], t + kWindow);
+        }
+      } else if (op < 97) {
+        t += static_cast<sim::Slot>(rng.next_below(3));
+        set.expire(t);
+        ref.expire(t);
+      } else if (op < 98) {
+        set.clear();
+        ref.clear();
+      } else {
+        // Restore from a shuffled image of itself.
+        auto image = set.snapshot();
+        for (std::size_t i = image.size(); i > 1; --i) {
+          std::swap(image[i - 1], image[rng.next_below(i)]);
+        }
+        set.load_snapshot(image);
+      }
+
+      ASSERT_EQ(set.size(), ref.size()) << "step " << step;
+      ASSERT_EQ(set.snapshot(), ref.snapshot()) << "step " << step;
+      const auto want = ref.bottom_valid_after(t, row.s);
+      set.bottom_s_into(got);
+      ASSERT_EQ(got, want) << "step " << step;
+      ASSERT_EQ(set.min_hash(), want.empty()
+                                    ? std::nullopt
+                                    : std::optional<treap::Candidate>(
+                                          want.front()))
+          << "step " << step;
+      for (const sim::Slot narrow : {sim::Slot{1}, kWindow / 4, kWindow / 2,
+                                     kWindow - 1, kWindow}) {
+        const sim::Slot min_expiry = t + (kWindow - narrow);
+        for (const std::size_t count : {row.s, row.s / 2 + 1}) {
+          set.bottom_s_valid_after(min_expiry, count, got);
+          ASSERT_EQ(got, ref.bottom_valid_after(min_expiry, count))
+              << "step " << step << " width " << narrow << " count "
+              << count;
+        }
+      }
+      for (int probe = 0; probe < 3; ++probe) {
+        const Element e = 1 + rng.next_below(row.domain);
+        ASSERT_EQ(set.contains(e), ref.contains(e)) << "step " << step;
+      }
+      if (step % 50 == 0) {
+        ASSERT_TRUE(set.check_invariants()) << "step " << step;
+      }
+    }
+  }
+}
 
 TEST(SDominanceSet, SizeScalesWithS) {
   // E[|T|] ~ s(1 + ln(M/s)): doubling s should roughly double the size.
@@ -257,22 +389,6 @@ TEST_P(BottomSSliding, ExactAtEverySlot) {
   std::unordered_map<Element, sim::Slot> last_arrival;
   util::Xoshiro256StarStar rng(p.seed + 50);
 
-  class SlotSource final : public sim::ArrivalSource {
-   public:
-    SlotSource(sim::Slot slot, std::vector<std::pair<sim::NodeId, Element>> xs)
-        : slot_(slot), xs_(std::move(xs)) {}
-    std::optional<sim::Arrival> next() override {
-      if (pos_ >= xs_.size()) return std::nullopt;
-      const auto& [site, e] = xs_[pos_++];
-      return sim::Arrival{slot_, site, e};
-    }
-
-   private:
-    sim::Slot slot_;
-    std::vector<std::pair<sim::NodeId, Element>> xs_;
-    std::size_t pos_ = 0;
-  };
-
   for (sim::Slot t = 0; t < 400; ++t) {
     std::vector<std::pair<sim::NodeId, Element>> xs;
     for (int i = 0; i < 4; ++i) {
@@ -280,7 +396,7 @@ TEST_P(BottomSSliding, ExactAtEverySlot) {
       xs.emplace_back(static_cast<sim::NodeId>(rng.next_below(p.sites)), e);
       last_arrival[e] = t;
     }
-    SlotSource src(t, xs);
+    sim::SlotSource src(t, xs);
     system.run(src);
 
     std::vector<std::pair<std::uint64_t, Element>> in_window;
@@ -304,7 +420,81 @@ INSTANTIATE_TEST_SUITE_P(Sweep, BottomSSliding,
                                            BsParams{4, 1, 30, 100, 2},
                                            BsParams{5, 5, 25, 80, 3},
                                            BsParams{10, 8, 50, 400, 4},
-                                           BsParams{3, 4, 10, 15, 5}));
+                                           BsParams{3, 4, 10, 15, 5}),
+    [](const ::testing::TestParamInfo<BsParams>& info) {
+      return "k" + std::to_string(info.param.sites) + "_s" +
+             std::to_string(info.param.s) + "_seed" +
+             std::to_string(info.param.seed);
+    });
+
+// The site's shipped-memo is the previous sync's bottom-s: on a
+// refresh-heavy stream every sync must ship exactly the tuples whose
+// (element, expiry) the previous bottom-s did not hold, in bottom-s
+// order — and ship the whole bottom-s after resync() and after
+// restore_candidates().
+TEST(BottomSSliding, SiteShipsExactlyTheBottomSDelta) {
+  constexpr std::size_t kS = 4;
+  constexpr sim::Slot kW = 20;
+  const hash::HashFunction h(hash::HashKind::kMurmur2, 3);
+  sim::Bus bus(1);
+  baseline::BottomSSlidingCoordinator coordinator(1, kS);
+  baseline::BottomSSlidingSite site(0, 1, kS, kW, h);
+  bus.attach(0, &site);
+  bus.attach(1, &coordinator);
+  std::vector<treap::Candidate> sent;
+  bus.set_tap([&sent](const sim::Message& m) {
+    sent.push_back({m.a, m.b, static_cast<sim::Slot>(m.c)});
+  });
+
+  core::WindowedBottomSSampler mirror(kS, kW, h);
+  std::set<std::pair<Element, sim::Slot>> previous;
+  std::vector<treap::Candidate> bottom;
+  // The tuples the sync that just ran must have shipped; re-ships all
+  // of them when `forget` (the memo was dropped).
+  const auto expect_sync = [&](sim::Slot t, bool forget) {
+    mirror.sample_into(t, bottom);
+    std::vector<treap::Candidate> want;
+    std::set<std::pair<Element, sim::Slot>> now;
+    for (const auto& c : bottom) {
+      if (forget || previous.count({c.element, c.expiry}) == 0) {
+        want.push_back(c);
+      }
+      now.insert({c.element, c.expiry});
+    }
+    previous = std::move(now);
+    EXPECT_EQ(sent, want) << "slot " << t;
+    sent.clear();
+  };
+
+  util::Xoshiro256StarStar rng(4);
+  std::size_t shipped = 0;
+  for (sim::Slot t = 0; t < 400; ++t) {
+    bus.set_now(t);
+    site.on_slot_begin(t, bus);
+    bus.drain();
+    expect_sync(t, false);
+    for (std::uint64_t n = rng.next_below(4); n > 0; --n) {
+      const Element e = 1 + rng.next_below(12);  // heavy refreshes
+      site.on_element(e, t, bus);
+      bus.drain();
+      mirror.observe(e, t);
+      shipped += sent.size();
+      expect_sync(t, false);
+    }
+    if (t % 97 == 50) {
+      site.resync(bus);
+      bus.drain();
+      expect_sync(t, true);
+    }
+    if (t % 89 == 40) {
+      site.restore_candidates(site.snapshot_candidates());
+      site.on_slot_begin(t, bus);
+      bus.drain();
+      expect_sync(t, true);
+    }
+  }
+  EXPECT_GT(shipped, 100u);  // the stream really refreshed the bottom-s
+}
 
 TEST(BottomSSliding, CostsMoreThanParallelCopiesButIsExact) {
   // The parallel-copies scheme (with-replacement) and the full-sync

@@ -105,7 +105,12 @@ INSTANTIATE_TEST_SUITE_P(
                       ExactParams{1, 3, 2}, ExactParams{1, 3, 3},
                       ExactParams{3, 2, 1}, ExactParams{3, 2, 2},
                       ExactParams{3, 2, 3}, ExactParams{3, 3, 1},
-                      ExactParams{3, 3, 2}, ExactParams{3, 3, 3}));
+                      ExactParams{3, 3, 2}, ExactParams{3, 3, 3}),
+    [](const ::testing::TestParamInfo<ExactParams>& info) {
+      return "s" + std::to_string(info.param.s) + "_shards" +
+             std::to_string(info.param.shards) + "_seed" +
+             std::to_string(info.param.seed);
+    });
 
 TEST(ShardedFullSyncSliding, MergedMinimumBitIdenticalAtEverySlot) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {

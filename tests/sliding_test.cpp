@@ -11,6 +11,7 @@
 
 #include "baseline/baseline_system.h"
 #include "core/system.h"
+#include "sim/sources.h"
 #include "stream/generators.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -55,23 +56,10 @@ class WindowOracle {
   std::unordered_map<Element, sim::Slot> last_arrival_;
 };
 
-/// Single-slot arrival source (drive the runner slot by slot so the
-/// coordinator can be queried between slots).
-class SlotSource final : public sim::ArrivalSource {
- public:
-  SlotSource(sim::Slot slot, std::vector<std::pair<sim::NodeId, Element>> xs)
-      : slot_(slot), xs_(std::move(xs)) {}
-  std::optional<sim::Arrival> next() override {
-    if (pos_ >= xs_.size()) return std::nullopt;
-    const auto& [site, e] = xs_[pos_++];
-    return sim::Arrival{slot_, site, e};
-  }
-
- private:
-  sim::Slot slot_;
-  std::vector<std::pair<sim::NodeId, Element>> xs_;
-  std::size_t pos_ = 0;
-};
+/// One slot's arrivals (sim::SlotSource holds a view, so each slot's
+/// list is a named local that outlives the run).
+using Arrivals = std::vector<std::pair<sim::NodeId, Element>>;
+using sim::SlotSource;
 
 // --------------------------------------------------- single-site exact --
 
@@ -126,7 +114,13 @@ INSTANTIATE_TEST_SUITE_P(
                       SingleSiteParams{1, 10, 2, 200, 2},   // window of one
                       SingleSiteParams{50, 100, 3, 400, 4},
                       SingleSiteParams{10, 3, 4, 300, 3},   // heavy repeats
-                      SingleSiteParams{20, 1, 5, 100, 2})); // single element
+                      SingleSiteParams{20, 1, 5, 100, 2}),  // single element
+    [](const ::testing::TestParamInfo<SingleSiteParams>& info) {
+      std::string name = "w";  // += sidesteps a GCC 12 -Wrestrict false positive
+      name += std::to_string(info.param.window) + "_seed" +
+              std::to_string(info.param.seed);
+      return name;
+    });
 
 // ------------------------------------------------- distributed checks --
 
@@ -223,7 +217,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MultiSiteParams{5, 10, 50, 11, 300, 5},
                       MultiSiteParams{10, 100, 500, 12, 400, 5},
                       MultiSiteParams{3, 25, 20, 13, 300, 4},
-                      MultiSiteParams{20, 50, 1000, 14, 300, 8}));
+                      MultiSiteParams{20, 50, 1000, 14, 300, 8}),
+    [](const ::testing::TestParamInfo<MultiSiteParams>& info) {
+      std::string name = "k";
+      name += std::to_string(info.param.sites) + "_w" +
+              std::to_string(info.param.window) + "_seed" +
+              std::to_string(info.param.seed);
+      return name;
+    });
 
 // ----------------------------------------------------------- memory ----
 
@@ -240,7 +241,8 @@ TEST(SlidingMemory, PerSiteStateIsLogarithmicInWindowDistinct) {
   util::Xoshiro256StarStar rng(1234);
   Element next_e = 1;
   for (sim::Slot t = 0; t < 3000; ++t) {
-    SlotSource src(t, {{0, next_e++}});  // all distinct, 1 per slot
+    const Arrivals xs{{0, next_e++}};  // all distinct, 1 per slot
+    SlotSource src(t, xs);
     system.run(src);
     if (t > kWindow) sizes.add(static_cast<double>(system.site(0).state_size()));
   }
@@ -260,7 +262,8 @@ TEST(SlidingMemory, MemoryGrowsLogarithmicallyWithWindow) {
     util::RunningStat sizes;
     Element next_e = 1;
     for (sim::Slot t = 0; t < 6 * window; ++t) {
-      SlotSource src(t, {{0, next_e++}});
+      const Arrivals xs{{0, next_e++}};
+      SlotSource src(t, xs);
       system.run(src);
       if (t > window) {
         sizes.add(static_cast<double>(system.site(0).state_size()));
@@ -346,7 +349,8 @@ TEST(SlidingEdge, EmptyWindowAfterEverythingExpires) {
   config.window = 5;
   config.seed = 31;
   SlidingSystem system(config);
-  SlotSource src(0, {{0, 42}, {1, 43}});
+  const Arrivals xs{{0, 42}, {1, 43}};
+  SlotSource src(0, xs);
   system.run(src);
   EXPECT_TRUE(system.coordinator().copy(0).sample(0).has_value());
   system.runner().advance_to_slot(10);  // window long gone
@@ -361,7 +365,8 @@ TEST(SlidingEdge, SingleElementRefreshKeepsItAlive) {
   config.seed = 32;
   SlidingSystem system(config);
   for (sim::Slot t = 0; t < 30; ++t) {
-    SlotSource src(t, {{0, 7}});  // same element every slot
+    const Arrivals xs{{0, 7}};  // same element every slot
+    SlotSource src(t, xs);
     system.run(src);
     const auto got = system.coordinator().copy(0).sample(t);
     ASSERT_TRUE(got.has_value()) << "slot " << t;

@@ -1,11 +1,10 @@
 // Tests for the adaptive sampling substrate: the hybrid DominanceSet
 // (flat ring <-> pooled treap migrations), the SlotIndex open-addressed
-// side-index, the order-statistic SDominanceSet, and the zero
+// side-index, the flat SDominanceSet, and the zero
 // steady-state allocation guarantees of all of them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -82,66 +81,7 @@ TEST(SlotIndex, CapacityStopsGrowingUnderChurn) {
   EXPECT_EQ(index.size(), 256u);
 }
 
-// ------------------------------------------- treap order statistics --
-
-TEST(Treap, KthAndRankAgainstSortedReference) {
-  Treap<std::uint32_t, std::uint32_t> t(17);
-  std::map<std::uint32_t, std::uint32_t> ref;
-  util::Xoshiro256StarStar rng(23);
-  for (int step = 0; step < 4000; ++step) {
-    const auto key = static_cast<std::uint32_t>(rng.next_below(700));
-    if (rng.next_below(3) != 0) {
-      t.insert(key, key * 7);
-      ref.emplace(key, key * 7);
-    } else {
-      t.erase(key);
-      ref.erase(key);
-    }
-    if (step % 97 != 0) continue;
-    ASSERT_EQ(t.size(), ref.size());
-    // rank_of agrees with std::map distance for arbitrary probes.
-    const auto probe = static_cast<std::uint32_t>(rng.next_below(700));
-    ASSERT_EQ(t.rank_of(probe),
-              static_cast<std::size_t>(
-                  std::distance(ref.begin(), ref.lower_bound(probe))));
-    // kth agrees with in-order position.
-    if (!ref.empty()) {
-      const std::size_t k = rng.next_below(ref.size());
-      auto it = ref.begin();
-      std::advance(it, static_cast<std::ptrdiff_t>(k));
-      const auto kth = t.kth(k);
-      ASSERT_TRUE(kth.has_value());
-      ASSERT_EQ(kth->first, it->first);
-      ASSERT_EQ(kth->second, it->second);
-    }
-    ASSERT_EQ(t.kth(ref.size()), std::nullopt);
-  }
-  ASSERT_TRUE(t.check_invariants());
-}
-
-TEST(Treap, BoundedTraversalsStopEarly) {
-  Treap<int, int> t;
-  for (int k = 1; k <= 50; ++k) t.insert(k, k);
-  std::vector<int> asc;
-  EXPECT_FALSE(t.for_each_while([&asc](int k, int) {
-    asc.push_back(k);
-    return k < 5;
-  }));
-  EXPECT_EQ(asc, (std::vector<int>{1, 2, 3, 4, 5}));
-  std::vector<int> desc;
-  EXPECT_FALSE(t.for_each_reverse_while([&desc](int k, int) {
-    desc.push_back(k);
-    return k > 48;
-  }));
-  EXPECT_EQ(desc, (std::vector<int>{50, 49, 48}));
-  // Full traversals report completion.
-  int count = 0;
-  EXPECT_TRUE(t.for_each_while([&count](int, int) {
-    ++count;
-    return true;
-  }));
-  EXPECT_EQ(count, 50);
-}
+// ------------------------------------------------- treap slot handles --
 
 TEST(Treap, InsertSlotNamesTheNodeUntilErase) {
   using IntTreap = Treap<int, int>;
@@ -241,7 +181,10 @@ INSTANTIATE_TEST_SUITE_P(
         HybridFuzzParams{5, HybridConfig{0xFFFFFFFFu, 0}, 100, 30, 7, 17},
         // Hysteresis band narrow vs wide.
         HybridFuzzParams{6, HybridConfig{12, 11}, 80, 25, 5, 11},
-        HybridFuzzParams{7, HybridConfig{48, 2}, 80, 25, 5, 7}));
+        HybridFuzzParams{7, HybridConfig{48, 2}, 80, 25, 5, 7}),
+    [](const ::testing::TestParamInfo<HybridFuzzParams>& info) {
+      return "seed" + std::to_string(info.param.seed);
+    });
 
 // ------------------------------- hybrid DominanceSet: migration edges --
 
@@ -444,7 +387,7 @@ TEST(HybridAllocation, MigrationCyclesReuseBothRepresentations) {
   EXPECT_EQ(d.index_capacity(), index);
 }
 
-// -------------------------------------- SDominanceSet order statistics --
+// --------------------------------------------- SDominanceSet bottom-s --
 
 TEST(SDominanceOrderStats, BottomSIsHashPrefixOfOrderStatisticTree) {
   SDominanceSet set(3);
@@ -463,36 +406,7 @@ TEST(SDominanceOrderStats, BottomSIsHashPrefixOfOrderStatisticTree) {
   std::vector<Candidate> out;
   set.bottom_s_into(out);
   EXPECT_EQ(out, expected);
-  // And the rank queries see the same ordering.
-  EXPECT_EQ(set.kth_smallest(0)->element, 14u);
-  EXPECT_EQ(set.kth_smallest(2)->element, 13u);
-  EXPECT_EQ(set.hash_rank(700), 2u);
-  EXPECT_EQ(set.hash_rank(701), 3u);
   EXPECT_EQ(set.min_hash()->element, 14u);
-}
-
-TEST(SDominanceOrderStats, RankQueriesMatchSnapshotUnderFuzz) {
-  SDominanceSet set(4);
-  hash::HashFunction h(hash::HashKind::kMurmur2, 9);
-  util::Xoshiro256StarStar rng(10);
-  for (sim::Slot t = 0; t < 400; ++t) {
-    set.expire(t);
-    for (int a = 0; a < 3; ++a) {
-      const std::uint64_t e = 1 + rng.next_below(300);
-      set.observe(e, h(e), t + 40);
-    }
-    if (t % 37 != 0 || set.empty()) continue;
-    auto by_hash = set.snapshot();
-    std::sort(by_hash.begin(), by_hash.end(),
-              [](const Candidate& a, const Candidate& b) {
-                return a.hash < b.hash;
-              });
-    for (std::size_t k = 0; k < by_hash.size(); k += 3) {
-      ASSERT_EQ(set.kth_smallest(k)->element, by_hash[k].element);
-      ASSERT_EQ(set.hash_rank(by_hash[k].hash), k);
-    }
-    ASSERT_EQ(set.kth_smallest(by_hash.size()), std::nullopt);
-  }
 }
 
 // ------------------------------------- SDominanceSet batched observe --

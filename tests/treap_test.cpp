@@ -468,7 +468,10 @@ INSTANTIATE_TEST_SUITE_P(
                       DomFuzzParams{3, 500, 5, 0},   // tiny window
                       DomFuzzParams{4, 50, 50, 7},   // with coord inserts
                       DomFuzzParams{5, 5, 10, 3},    // duplicates + inserts
-                      DomFuzzParams{6, 1000, 100, 13}));
+                      DomFuzzParams{6, 1000, 100, 13}),
+    [](const ::testing::TestParamInfo<DomFuzzParams>& info) {
+      return "seed" + std::to_string(info.param.seed);
+    });
 
 TEST(DominanceSet, ExpectedSizeIsHarmonicLike) {
   // Lemma 10: E[|T_i|] <= H_M for M distinct in-window elements. With

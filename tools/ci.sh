@@ -128,4 +128,10 @@ python3 "$repo/tools/bench_compare.py" "$build/bench_results" \
   "$build/bench_baseline" --threshold 0.25 --gates-only \
   --gate-table "abl14_batch_ingest.json:xB/x1:1.2"
 
+# Benchmark self-tests (~12 s): the perfbench harness checks its own
+# timers, reference answers and the per-layer attribution of a traced
+# run against the untraced one.
+python3 "$repo/perfbench/run.py" --selftest
+echo "ci: perfbench self-tests passed"
+
 echo "ci: OK"
