@@ -1,6 +1,5 @@
 #include "baseline/fullsync_bottom_s.h"
 
-
 #include "util/rng.h"
 
 namespace dds::baseline {
