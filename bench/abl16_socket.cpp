@@ -13,7 +13,9 @@
 //    record floor as the flush interval grows)
 //  * the UDP reliability tax: data datagrams, ack-only datagrams,
 //    retransmits (should be ~0 on loopback — the ack-bit redundancy is
-//    doing the silencing)
+//    doing the silencing). Acks ride on the reverse data, so ack-only
+//    datagrams come only from the transport's full sweeps (a full send
+//    window, finish()): a handful per run, not one per frame
 //  * sample agreement with the zero-delay Bus reference: every row must
 //    report agree = 1 (the differential harness in tests/socket_test.cpp
 //    pins this bit-exactly; the bench re-checks it per data point).
@@ -159,7 +161,9 @@ int main(int argc, char** argv) {
     }
     bench::emit(table,
                 "A16b: UDP datagram economy on 127.0.0.1 (retransmits ~0: "
-                "the redundant ack-bits absorb loopback reordering)",
+                "the redundant ack-bits absorb loopback reordering; acks "
+                "ride on replies, so ack-only datagrams come only from "
+                "full sweeps at a full window or finish())",
                 "abl16_socket_udp.csv", args);
   }
 

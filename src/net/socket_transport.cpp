@@ -158,7 +158,9 @@ void SocketTransport::drain_tokens() {
   double last_progress = now_seconds();
   std::size_t last_depth = tokens_.size();
   while (!deliver_due()) {
-    const bool moved = pump_io(now_seconds());
+    const auto [from, to] = tokens_.front();
+    const double now = now_seconds();
+    const bool moved = pump_link(from, to, now) || pump_io(now);
     if (moved || tokens_.size() != last_depth) {
       last_progress = now_seconds();
       last_depth = tokens_.size();

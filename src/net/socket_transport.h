@@ -24,6 +24,15 @@
 //     makes delivery order — and therefore every sample, estimate, and
 //     logical counter — bit-identical to the zero-delay Bus, which is
 //     the differential harness's whole proof obligation.
+//   * A targeted drain. The head token names the one link whose frame
+//     is due, so drain() first pumps only that link (pump_link: UDP
+//     reads the receiver's socket, TCP flushes and reads that one
+//     stream). It falls back to a full pump_io() sweep of every socket
+//     only when the targeted pump makes no progress; the sweep is what
+//     services retransmit timers, sends owed acks, and recovers a full
+//     send window. On UDP this lets acks ride on the reverse data (a
+//     coordinator reply carries the ack for the report it answers);
+//     ack-only datagrams come from the full sweeps (udp_transport.h).
 //   * The drain-at-finish contract: drain() pumps the sockets until no
 //     shipped frame is undelivered; finish() additionally requires the
 //     batcher empty and every link idle (all data acknowledged). A
@@ -161,6 +170,11 @@ class SocketTransport : public Transport {
   /// Returns true if anything moved.
   virtual bool pump_io(double now) = 0;
 
+  /// Moves bytes on the one directed link `from` -> `to` whose frame the
+  /// drain waits for, without blocking, timers or owed acks. Returns
+  /// true if anything moved; drain falls back to pump_io() otherwise.
+  virtual bool pump_link(sim::NodeId from, sim::NodeId to, double now) = 0;
+
   /// Every link has acknowledged (UDP) or fully written (TCP) all data.
   virtual bool links_idle() const = 0;
 
@@ -192,7 +206,8 @@ class SocketTransport : public Transport {
   /// order and whose bytes have arrived. Returns true when the token
   /// queue is empty afterwards.
   bool deliver_due();
-  /// Pump + deliver until the token queue empties; stall-guarded.
+  /// Pump + deliver until the token queue empties: the head token's
+  /// link first, a full pump when that link is stuck; stall-guarded.
   void drain_tokens();
 
   NetworkConfig config_;

@@ -485,6 +485,16 @@ bool TcpTransport::pump_io(double now) {
   return moved;
 }
 
+bool TcpTransport::pump_link(sim::NodeId from, sim::NodeId to, double now) {
+  (void)now;
+  bool moved = false;
+  const auto out = peers_.find({from, to});
+  if (out != peers_.end() && flush_out(out->second)) moved = true;
+  const auto in = peers_.find({to, from});
+  if (in != peers_.end() && read_peer(to, from, in->second)) moved = true;
+  return moved;
+}
+
 bool TcpTransport::links_idle() const {
   if (!pre_accept_out_.empty()) return false;
   for (const auto& [key, peer] : peers_) {

@@ -35,6 +35,8 @@ class TcpTransport final : public SocketTransport {
   void ship_frame(sim::NodeId from, sim::NodeId to,
                   wire::Buffer frame) override;
   bool pump_io(double now) override;
+  /// Flushes the `from` -> `to` stream and reads its receiving end only.
+  bool pump_link(sim::NodeId from, sim::NodeId to, double now) override;
   bool links_idle() const override;
 
  private:

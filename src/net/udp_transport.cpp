@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace dds::net {
@@ -169,6 +170,25 @@ ConnStats UdpTransport::conn_totals() const {
   return total;
 }
 
+void UdpTransport::bind_observability(obs::MetricsRegistry* registry,
+                                      obs::Tracer* tracer) {
+  SocketTransport::bind_observability(registry, tracer);
+  if (registry == nullptr) return;
+  // One registration per connection under a shared name: the registry
+  // sums duplicates at snapshot, which is exactly conn_totals().
+  for (const auto& [id, ep] : eps_) {
+    for (const auto& [peer_id, peer] : ep.peers) {
+      const ConnStats& s = peer.conn->stats();
+      registry->counter("conn.data_sent", &s.data_sent);
+      registry->counter("conn.retransmits", &s.retransmits);
+      registry->counter("conn.nack_retransmits", &s.nack_retransmits);
+      registry->counter("conn.ack_only_sent", &s.ack_only_sent);
+      registry->counter("conn.duplicates", &s.duplicates);
+      registry->counter("conn.held_out_of_order", &s.held_out_of_order);
+    }
+  }
+}
+
 void UdpTransport::send_packet(Endpoint& ep, const Peer& peer,
                                const OutPacket& pkt) {
   const sockaddr_in addr = make_addr(peer.ip, peer.port);
@@ -189,25 +209,25 @@ void UdpTransport::send_packet(Endpoint& ep, const Peer& peer,
   if (!pkt.data && !pkt.handshake) stats().ack_only_packets += 1;
 }
 
-void UdpTransport::pump_out(sim::NodeId id, Endpoint& ep, double now) {
-  (void)id;
+void UdpTransport::flush_conn(Endpoint& ep, Peer& peer, double now) {
+  if (!peer.addr_known) return;  // nowhere to send yet
   std::vector<OutPacket> out;
-  for (auto& [peer_id, peer] : ep.peers) {
-    if (!peer.addr_known) continue;  // nowhere to send yet
-    out.clear();
-    peer.conn->poll(now, out);
-    for (const OutPacket& pkt : out) send_packet(ep, peer, pkt);
-  }
+  peer.conn->poll(now, out);
+  for (const OutPacket& pkt : out) send_packet(ep, peer, pkt);
 }
 
 void UdpTransport::ship_frame(sim::NodeId from, sim::NodeId to,
                               wire::Buffer frame) {
+  // Only the addressed connection is polled: its data packet carries
+  // the ack it owes, and no other connection has news from this send.
   Endpoint& ep = eps_.at(from);
-  ep.peers.at(to).conn->send(std::move(frame));
-  pump_out(from, ep, now_seconds());
+  Peer& peer = ep.peers.at(to);
+  peer.conn->send(std::move(frame));
+  flush_conn(ep, peer, now_seconds());
 }
 
-bool UdpTransport::read_endpoint(sim::NodeId id, Endpoint& ep, double now) {
+bool UdpTransport::read_endpoint(sim::NodeId id, Endpoint& ep, double now,
+                                 sim::NodeId stop_after) {
   bool moved = false;
   std::uint8_t buf[kMaxDatagram];
   std::vector<wire::Buffer> delivered;
@@ -252,8 +272,15 @@ bool UdpTransport::read_endpoint(sim::NodeId id, Endpoint& ep, double now) {
     for (const wire::Buffer& payload : delivered) {
       on_frame_bytes(peer_id, id, payload);
     }
+    if (peer_id == stop_after && !delivered.empty()) break;
   }
   return moved;
+}
+
+bool UdpTransport::pump_link(sim::NodeId from, sim::NodeId to, double now) {
+  const auto it = eps_.find(to);
+  if (it == eps_.end()) return false;  // remote receiver: not ours to read
+  return read_endpoint(to, it->second, now, from);
 }
 
 bool UdpTransport::pump_io(double now) {
@@ -261,7 +288,9 @@ bool UdpTransport::pump_io(double now) {
   for (auto& [id, ep] : eps_) {
     if (read_endpoint(id, ep, now)) moved = true;
   }
-  for (auto& [id, ep] : eps_) pump_out(id, ep, now);
+  for (auto& [id, ep] : eps_) {
+    for (auto& [peer_id, peer] : ep.peers) flush_conn(ep, peer, now);
+  }
   if (!moved) {
     // Idle: park on the fds briefly instead of spinning (retransmit
     // timers tick at rto granularity, so a couple of ms is plenty).

@@ -14,6 +14,15 @@
 // loopback MTU. Send-side EAGAIN/ENOBUFS is deliberately treated as a
 // drop: the reliability layer retransmits, which is the point of having
 // it.
+//
+// Acks ride on data. ship_frame() polls only the addressed connection,
+// and the targeted pump_link() reads only the receiver's socket, so a
+// received packet's ack is owed until the reverse direction next sends
+// data (which carries it) or a full pump_io() sweep polls every
+// connection. Ack-only datagrams therefore go out from full sweeps
+// (the drain's no-progress fallback, finish()'s link-idle wait,
+// dds_node's pump()) and otherwise only from a send that finds its own
+// window full while it owes an ack.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +47,19 @@ class UdpTransport final : public SocketTransport {
   /// Sum of every connection's reliability counters.
   ConnStats conn_totals() const;
 
+  /// Adds the conn.* counters (data_sent, retransmits, nack_retransmits,
+  /// ack_only_sent, duplicates, held_out_of_order), summed over every
+  /// connection, to the socket.* and net.* ones.
+  void bind_observability(obs::MetricsRegistry* registry,
+                          obs::Tracer* tracer) override;
+
  protected:
   void ship_frame(sim::NodeId from, sim::NodeId to,
                   wire::Buffer frame) override;
   bool pump_io(double now) override;
+  /// Reads the `to` socket only, stopping as soon as a payload from
+  /// `from` is released.
+  bool pump_link(sim::NodeId from, sim::NodeId to, double now) override;
   bool links_idle() const override;
 
  private:
@@ -60,10 +78,16 @@ class UdpTransport final : public SocketTransport {
     std::map<std::uint64_t, sim::NodeId> by_addr;
   };
 
+  static constexpr sim::NodeId kNoNode = ~sim::NodeId{0};
+
   void open_endpoint(sim::NodeId id);
-  void pump_out(sim::NodeId id, Endpoint& ep, double now);
+  /// Polls one connection and sends whatever it emits.
+  void flush_conn(Endpoint& ep, Peer& peer, double now);
   void send_packet(Endpoint& ep, const Peer& peer, const OutPacket& pkt);
-  bool read_endpoint(sim::NodeId id, Endpoint& ep, double now);
+  /// Reads `ep` until the socket is empty, or until a datagram from
+  /// `stop_after` has released a payload.
+  bool read_endpoint(sim::NodeId id, Endpoint& ep, double now,
+                     sim::NodeId stop_after = kNoNode);
   void run_handshake();
   bool all_established() const;
 

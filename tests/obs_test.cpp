@@ -19,6 +19,7 @@
 
 #include "core/system.h"
 #include "net/sim_network.h"
+#include "net/udp_transport.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/observability.h"
@@ -257,6 +258,36 @@ TEST(ObsFacade, SampleCountersBridgesMetricsIntoTrace) {
   }
   EXPECT_TRUE(saw_net);
   EXPECT_TRUE(saw_engine);
+}
+
+TEST(ObsFacade, UdpExportsConnectionCountersSummedOverConnections) {
+  // The conn.* counters are the reliability layer's, one registration
+  // per connection under a shared name; the snapshot's sums must equal
+  // the transport's own conn_totals().
+  core::SystemConfig config{4, 4, hash::HashKind::kMurmur2, 1};
+  config.window = 30;
+  config.num_shards = 2;
+  config.network.kind = net::TransportKind::kUdp;
+  config.observability.metrics = true;
+  core::SlidingSystem system(config);
+  ListSource source(slotted_stream(4, 120, 5, 200, 3));
+  system.run(source);
+
+  const obs::MetricsSnapshot snap = system.observability().snapshot();
+  const auto& udp = dynamic_cast<const net::UdpTransport&>(system.bus());
+  const net::ConnStats totals = udp.conn_totals();
+  EXPECT_GT(totals.data_sent, 0u);
+  EXPECT_EQ(snap.counter_or("conn.data_sent", ~0ULL), totals.data_sent);
+  EXPECT_EQ(snap.counter_or("conn.retransmits", ~0ULL), totals.retransmits);
+  EXPECT_EQ(snap.counter_or("conn.nack_retransmits", ~0ULL),
+            totals.nack_retransmits);
+  EXPECT_EQ(snap.counter_or("conn.ack_only_sent", ~0ULL),
+            totals.ack_only_sent);
+  EXPECT_EQ(snap.counter_or("conn.duplicates", ~0ULL), totals.duplicates);
+  EXPECT_EQ(snap.counter_or("conn.held_out_of_order", ~0ULL),
+            totals.held_out_of_order);
+  // Every first transmission carries one frame.
+  EXPECT_EQ(totals.data_sent, snap.counter_or("socket.frames_sent"));
 }
 
 // -------------------------------------------- determinism (acceptance) --

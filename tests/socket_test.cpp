@@ -16,6 +16,10 @@
 //     deadline must be delivered by finish(), leaving the transport
 //     quiescent() — a slow socket can never strand end-of-stream
 //     messages
+//   * the targeted drain: acks ride on data (about one datagram per
+//     frame, a few ack-only datagrams per connection), and a one-way
+//     link whose send window fills still delivers every frame in order
+//     through the full-pump fallback
 //   * the multi-process spawn smoke: fork/exec tools/dds_node
 //     (coordinator + 2 sites over real sockets), compare its sample
 //     with the in-process reference
@@ -332,11 +336,13 @@ TEST(DrainAtFinish, BufferedBatchesCannotOutliveFinish) {
   }
 }
 
-/// Swallows deliveries without replying.
+/// Swallows deliveries without replying, keeping each payload's `a`.
 struct SinkNode final : sim::Node {
   std::uint64_t received = 0;
-  void on_message(const sim::Message&, net::Transport&) override {
+  std::vector<std::uint64_t> payloads;
+  void on_message(const sim::Message& msg, net::Transport&) override {
     ++received;
+    payloads.push_back(msg.a);
   }
 };
 
@@ -367,6 +373,81 @@ TEST(DrainAtFinish, QuiescentReportsBufferedTraffic) {
   transport.finish();
   EXPECT_TRUE(transport.quiescent());
   EXPECT_EQ(coordinator.received, 1u);
+}
+
+TEST(DrainAtFinish, OneWayLinkRecoversFromAFullSendWindow) {
+  // A link with no reverse traffic never gets an ack on a reply, so its
+  // 32-packet send window fills. The targeted drain then makes no
+  // progress and must fall back to the full pump, whose owed acks free
+  // the window. Every frame still arrives, in order.
+  net::NetworkConfig config;
+  config.seed = 5;
+  net::UdpTransport transport(/*num_sites=*/1, config);
+  SinkNode site, coordinator;
+  transport.attach(0, &site);
+  transport.attach(transport.coordinator_id(), &coordinator);
+
+  constexpr std::uint64_t kFrames = 150;  // > 4 windows of 32 packets
+  std::vector<std::uint64_t> sent;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    sim::Message report;
+    report.from = 0;
+    report.to = transport.coordinator_id();
+    report.type = sim::MsgType::kReportElement;
+    report.a = 1000 + i;
+    transport.send(report);
+    transport.drain();
+    sent.push_back(report.a);
+    ASSERT_EQ(coordinator.received, i + 1);
+  }
+  EXPECT_EQ(coordinator.payloads, sent);
+  EXPECT_EQ(site.received, 0u);
+  transport.finish();
+  EXPECT_TRUE(transport.quiescent());
+  // The window could only have been freed by acks from full pumps.
+  EXPECT_GT(transport.socket_stats().ack_only_packets, 0u);
+}
+
+TEST(SocketAccounting, AcksRideOnDataInsteadOfTheirOwnDatagrams) {
+  // One sliding run (Algorithms 3-4, two coordinator shards) over UDP.
+  // The targeted drain polls only the connection a frame goes out on,
+  // so acks ride on the reverse data: the wire carries about one
+  // datagram per frame, and ack-only datagrams are a few per connection
+  // (from the fallback and finish() sweeps), not one per frame.
+  core::SystemConfig config;
+  config.num_sites = 6;
+  config.sample_size = 4;
+  config.seed = 31;
+  config.window = 40;
+  config.num_shards = 2;
+  config.network.kind = TransportKind::kUdp;
+  core::SlidingSystem system(config);
+
+  util::Xoshiro256StarStar workload(util::derive_seed(31, 0x50CE7));
+  std::vector<sim::Arrival> arrivals;
+  for (sim::Slot t = 0; t < 300; ++t) {
+    for (int i = 0; i < kArrivalsPerSlot; ++i) {
+      arrivals.push_back(sim::Arrival{
+          t, static_cast<sim::NodeId>(workload.next_below(config.num_sites)),
+          1 + workload.next_below(kDomain)});
+    }
+  }
+  sim::ListSource source(std::move(arrivals));
+  system.run(source);  // one run: one finish() at the end
+  ASSERT_TRUE(system.bus().quiescent());
+
+  const auto& udp = dynamic_cast<const net::UdpTransport&>(system.bus());
+  const net::SocketStats& stats = udp.socket_stats();
+  const net::ConnStats conn = udp.conn_totals();
+  // A (site, shard) pairing has one connection at each end.
+  const std::uint64_t connections =
+      2ULL * config.num_sites * config.num_shards;
+  ASSERT_GT(stats.frames_sent, 10 * connections);  // the bound has teeth
+  EXPECT_EQ(conn.retransmits, 0u);
+  EXPECT_EQ(conn.data_sent, stats.frames_sent);
+  EXPECT_LE(stats.packets_sent - stats.handshake_packets,
+            stats.frames_sent + 2 * connections);
+  EXPECT_LE(stats.ack_only_packets, 2 * connections);
 }
 
 // ---- multi-process spawn smoke ---------------------------------------

@@ -96,6 +96,12 @@ cmp "$socket_dir/sample_a.txt" "$socket_dir/sample_b.txt"
 [[ -s "$socket_dir/sample_a.txt" ]]
 echo "ci: socket smoke (3-process UDP) replayed bit-identically"
 
+# Socket ablation smoke: abl16 runs the infinite-window protocol over
+# UDP and TCP against the Bus and exits 1 when any socket sample
+# diverges from the Bus reference.
+"$build/abl16_socket" --runs 1 --outdir "$build/bench_results"
+echo "ci: abl16_socket samples agreed with the Bus"
+
 # Multi-tenant smoke: the dashboard example drives the shared
 # TenantRegistry against per-tenant naive samplers and exits nonzero
 # unless every checked tenant answer is bit-identical.
