@@ -10,6 +10,8 @@
 // scheme pays per local bottom-s change but needs no replies.
 #include "bench_common.h"
 
+#include <limits>
+
 int main(int argc, char** argv) {
   using namespace dds;
   util::Cli cli;
@@ -80,13 +82,36 @@ int main(int argc, char** argv) {
   // duplicate scan, the tail shifts) is a few cache lines of flat array.
   // Every row times the same fixed number of steady-state updates (after
   // a one-window warm-up), so a w=10^3 row is not a ~1 ms measurement.
+  // Each of the --runs passes replays every row's updates on a fresh set,
+  // so |T| and swept/update are the same in every pass; a row reports
+  // its fastest pass, since one pass's time moves with the machine's
+  // load, and the passes sweep all rows in turn so that a burst of load
+  // cannot cover every pass of one row.
   constexpr sim::Slot kTimedUpdates = 100000;
-  util::Table t2({"s", "window", "mean |T|", "swept/update", "ns/update",
-                  "bottom-s ns"});
-  std::uint64_t element = 1;
+  constexpr int kBottomCalls = 20000;
+  struct Row {
+    std::size_t s;
+    sim::Slot win;
+    std::uint64_t first_element;
+    double mean_size = 0;
+    double swept_per_update = 0;
+    double ns_per_update = std::numeric_limits<double>::infinity();
+    double bottom_ns = std::numeric_limits<double>::infinity();
+  };
+  std::vector<Row> rows;
+  std::uint64_t next_element = 1;
   for (const std::size_t s : {4, 16}) {
     for (const sim::Slot win : {1000, 10000, 100000}) {
-      treap::SDominanceSet set(s, args.seed);
+      rows.push_back({s, win, next_element});
+      next_element += static_cast<std::uint64_t>(win + kTimedUpdates);
+    }
+  }
+  for (std::uint64_t run = 0; run < std::max<std::uint64_t>(1, args.runs);
+       ++run) {
+    for (Row& row : rows) {
+      const sim::Slot win = row.win;
+      std::uint64_t element = row.first_element;
+      treap::SDominanceSet set(row.s, args.seed);
       hash::HashFunction h(args.hash_kind, args.seed + 7);
       sim::Slot t = 0;
       for (; t < win; ++t) {  // warm to steady state
@@ -104,29 +129,33 @@ int main(int argc, char** argv) {
         ++element;
         if ((t & 63) == 0) size_stat.add(static_cast<double>(set.size()));
       }
-      const double ns_per_update =
-          timer.elapsed_seconds() * 1e9 / kTimedUpdates;
-      const double swept_per_update =
+      row.ns_per_update = std::min(
+          row.ns_per_update, timer.elapsed_seconds() * 1e9 / kTimedUpdates);
+      row.mean_size = size_stat.mean();
+      row.swept_per_update =
           static_cast<double>(set.swept_tuples() - swept0) /
           static_cast<double>(set.updates() - updates0);
       std::vector<treap::Candidate> bottom;
       util::Timer bottom_timer;
-      constexpr int kBottomCalls = 20000;
       for (int i = 0; i < kBottomCalls; ++i) {
         set.bottom_s_into(bottom);
       }
-      const double bottom_ns =
-          bottom_timer.elapsed_seconds() * 1e9 / kBottomCalls;
-      t2.add_row({util::fmt(static_cast<std::uint64_t>(s)),
-                  util::fmt(static_cast<std::uint64_t>(win)),
-                  util::fmt(size_stat.mean(), 4),
-                  util::fmt(swept_per_update, 4),
-                  util::fmt(ns_per_update, 4), util::fmt(bottom_ns, 4)});
+      row.bottom_ns = std::min(
+          row.bottom_ns, bottom_timer.elapsed_seconds() * 1e9 / kBottomCalls);
     }
+  }
+  util::Table t2({"s", "window", "mean |T|", "swept/update", "ns/update",
+                  "bottom-s ns"});
+  for (const Row& row : rows) {
+    t2.add_row({util::fmt(static_cast<std::uint64_t>(row.s)),
+                util::fmt(static_cast<std::uint64_t>(row.win)),
+                util::fmt(row.mean_size, 4),
+                util::fmt(row.swept_per_update, 4),
+                util::fmt(row.ns_per_update, 4), util::fmt(row.bottom_ns, 4)});
   }
   bench::emit(t2,
               "A7b: flat SDominanceSet — update cost vs |T| "
-              "(all-distinct stream)",
+              "(all-distinct stream, fastest of --runs)",
               "abl7_order_stats.csv", args);
   return 0;
 }

@@ -1,60 +1,30 @@
 #include "baseline/baseline_checkpoint.h"
 
+#include <utility>
+
 namespace dds::baseline {
 
 namespace ckpt = core::ckpt;
 
 CheckpointImage checkpoint(const FullSyncSlidingCoordinator& coordinator) {
-  CheckpointImage out;
-  const std::uint32_t n = coordinator.num_sites();
-  out.reserve(8 * (3 + 4 * static_cast<std::size_t>(n) + 1));
-  ckpt::put_u64(out, ckpt::kFullSyncMagic);
-  ckpt::put_u64(out, ckpt::kVersion);
-  ckpt::put_u64(out, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto entry = coordinator.site_entry(i);
-    ckpt::put_u64(out, entry ? 1 : 0);
-    ckpt::put_u64(out, entry ? entry->element : 0);
-    ckpt::put_u64(out, entry ? entry->hash : 0);
-    ckpt::put_u64(out, entry ? static_cast<std::uint64_t>(entry->expiry) : 0);
+  std::vector<std::optional<treap::Candidate>> entries;
+  entries.reserve(coordinator.num_sites());
+  for (std::uint32_t i = 0; i < coordinator.num_sites(); ++i) {
+    entries.push_back(coordinator.site_entry(i));
   }
+  CheckpointImage out = ckpt::begin(ckpt::kFullSyncMagic);
+  ckpt::put_slots(out, entries);
   ckpt::seal(out);
   return out;
 }
 
 std::optional<std::vector<std::optional<treap::Candidate>>>
 parse_fullsync_checkpoint(const CheckpointImage& image) {
-  std::size_t pos = 0;
-  const auto magic = ckpt::get_u64(image, pos);
-  const auto version = ckpt::get_u64(image, pos);
-  if (!magic || *magic != ckpt::kFullSyncMagic) return std::nullopt;
-  if (!version) return std::nullopt;
-  const auto end = ckpt::body_end(image, *version);
-  if (!end) return std::nullopt;
-  // Size-bound before the exact-size formula (overflow-proof on a
-  // corrupted count), then exact size.
-  const auto sites = ckpt::get_u64(image, pos);
-  if (!sites || *sites > image.size() / 32 ||
-      *end != 8 * (3 + 4 * *sites)) {
-    return std::nullopt;
-  }
-  std::vector<std::optional<treap::Candidate>> out;
-  out.reserve(static_cast<std::size_t>(*sites));
-  for (std::uint64_t i = 0; i < *sites; ++i) {
-    const auto has = ckpt::get_u64(image, pos);
-    const auto element = ckpt::get_u64(image, pos);
-    const auto hash = ckpt::get_u64(image, pos);
-    const auto expiry = ckpt::get_u64(image, pos);
-    if (!has || !element || !hash || !expiry || *has > 1) return std::nullopt;
-    if (*has == 1) {
-      out.push_back(treap::Candidate{*element, *hash,
-                                     static_cast<sim::Slot>(*expiry)});
-    } else {
-      out.push_back(std::nullopt);
-    }
-  }
-  if (pos != *end) return std::nullopt;
-  return out;
+  auto in = ckpt::open(image, ckpt::kFullSyncMagic);
+  if (!in) return std::nullopt;
+  auto entries = ckpt::get_slots(*in);
+  if (!entries || in->remaining() != 0) return std::nullopt;
+  return entries;
 }
 
 bool restore_into(FullSyncSlidingCoordinator& coordinator,
@@ -68,50 +38,23 @@ bool restore_into(FullSyncSlidingCoordinator& coordinator,
 }
 
 CheckpointImage checkpoint(const BottomSSlidingCoordinator& coordinator) {
-  const auto items = coordinator.pool().snapshot();
-  CheckpointImage out;
-  out.reserve(8 * (4 + 3 * items.size() + 1));
-  ckpt::put_u64(out, ckpt::kBottomSMagic);
-  ckpt::put_u64(out, ckpt::kVersion);
-  ckpt::put_u64(out, coordinator.pool().sample_size());
-  ckpt::put_u64(out, items.size());
-  for (const auto& c : items) {
-    ckpt::put_u64(out, c.element);
-    ckpt::put_u64(out, c.hash);
-    ckpt::put_u64(out, static_cast<std::uint64_t>(c.expiry));
-  }
+  CheckpointImage out = ckpt::begin(ckpt::kBottomSMagic);
+  util::put_le<std::uint64_t>(out, coordinator.pool().sample_size());
+  ckpt::put_tuples(out, coordinator.pool().snapshot());
   ckpt::seal(out);
   return out;
 }
 
 std::optional<BottomSCheckpointContents> parse_bottom_s_checkpoint(
     const CheckpointImage& image) {
-  std::size_t pos = 0;
-  const auto magic = ckpt::get_u64(image, pos);
-  const auto version = ckpt::get_u64(image, pos);
-  if (!magic || *magic != ckpt::kBottomSMagic) return std::nullopt;
-  if (!version) return std::nullopt;
-  const auto end = ckpt::body_end(image, *version);
-  if (!end) return std::nullopt;
-  const auto s = ckpt::get_u64(image, pos);
-  const auto count = ckpt::get_u64(image, pos);
-  if (!s || *s == 0 || !count || *count > image.size() / 24 ||
-      *end != 8 * (4 + 3 * *count)) {
-    return std::nullopt;
-  }
-  BottomSCheckpointContents contents;
-  contents.sample_size = static_cast<std::size_t>(*s);
-  contents.items.reserve(static_cast<std::size_t>(*count));
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    const auto element = ckpt::get_u64(image, pos);
-    const auto hash = ckpt::get_u64(image, pos);
-    const auto expiry = ckpt::get_u64(image, pos);
-    if (!element || !hash || !expiry) return std::nullopt;
-    contents.items.push_back(
-        treap::Candidate{*element, *hash, static_cast<sim::Slot>(*expiry)});
-  }
-  if (pos != *end) return std::nullopt;
-  return contents;
+  auto in = ckpt::open(image, ckpt::kBottomSMagic);
+  if (!in) return std::nullopt;
+  const auto s = in->u64();
+  if (!s || *s == 0) return std::nullopt;
+  auto items = ckpt::get_tuples(*in);
+  if (!items || in->remaining() != 0) return std::nullopt;
+  return BottomSCheckpointContents{static_cast<std::size_t>(*s),
+                                   std::move(*items)};
 }
 
 bool restore_into(BottomSSlidingCoordinator& coordinator,

@@ -9,13 +9,15 @@
 // Supervisor built on it) works for FullSync and bottom-s deployments
 // without core/ depending on baseline/.
 //
-// Layouts (little-endian u64s, sealed with the shared v2 checksum):
-//   FullSync ("DDS_FSYN"):
-//     [magic][version][num_sites]
-//     [has, element, hash, expiry] * num_sites   [checksum]
-//   bottom-s pool ("DDS_BSPL"):
-//     [magic][version][sample_size][count]
-//     [element, hash, expiry] * count            [checksum]
+// Both images go through the one codec in core/checkpoint.h (ckpt::begin
+// / seal / open and its two shared body shapes), so they carry the same
+// magic/version/checksum envelope and bounds checks as the core kinds:
+//   FullSync ("DDS_FSYN"):     slots body, one per site
+//     [magic][version][num_sites][has, element, hash, expiry] * num_sites
+//     [checksum]
+//   bottom-s pool ("DDS_BSPL"): [sample_size] + tuples body
+//     [magic][version][sample_size][count][element, hash, expiry] * count
+//     [checksum]
 //
 // Restore semantics mirror the protocols' order-robustness: a restored
 // FullSync per-site entry carries sequence watermark 0 (any live report

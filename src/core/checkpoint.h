@@ -17,26 +17,29 @@
 // verify the restored+resynced deployment converges to the exact
 // bottom-s on re-exposure.
 //
-// The wire format is versioned and endian-stable (little-endian u64s).
-// Version 2 — the current writer — appends a trailing FNV-1a checksum
-// over every preceding byte, so in-flight corruption and truncation are
-// detected before any state is touched. Version-1 images (no checksum)
-// are rejected like any other unknown version. Infinite-window layout:
-//   [magic u64][version u64][sample_size u64][count u64]
-//   [element u64, hash u64] * count   [u u64]   [checksum u64]
-//
-// Sliding-window coordinators checkpoint too (their own magic):
-//   [magic u64][version u64][num_copies u64]
-//   [has u64, element u64, hash u64, expiry u64] * num_copies
-//   [checksum u64]
-//
-// Candidate-set images (lossless site failover) carry a DominanceSet /
-// SDominanceSet snapshot() — the protocol-agnostic tuple list:
-//   [magic u64][version u64][count u64]
-//   [element u64, hash u64, expiry u64] * count   [checksum u64]
-// The FullSync and bottom-s coordinator images (their own magics) live
-// in baseline/baseline_checkpoint.h on the same helpers; the ensemble
-// templates below find them by argument-dependent lookup.
+// Every image kind — the three here and the FullSync and bottom-s
+// coordinator images in baseline/baseline_checkpoint.h — is written and
+// read by the one codec in namespace ckpt below, over the little-endian
+// primitives of util/le_bytes.h. The format is versioned and
+// endian-stable (little-endian u64s). Version 2 — the current writer —
+// appends a trailing FNV-1a checksum over every preceding byte, so
+// in-flight corruption and truncation are detected before any state is
+// touched; ckpt::open checks magic, version and checksum once for every
+// kind. Version-1 images (no checksum) are rejected like any other
+// unknown version. Each image is [magic u64][version u64][body]
+// [checksum u64], and the bodies come in two shared shapes plus one:
+//   tuples  [count][element, hash, expiry] * count   (ckpt::put_tuples)
+//   slots   [n][has, element, hash, expiry] * n      (ckpt::put_slots)
+// Bodies per kind:
+//   infinite  ("DDS_CKPT")  [sample_size][count][element, hash] * count [u]
+//   sliding   ("DDS_SCKP")  slots, one per protocol copy
+//   candidate ("DDS_CAND")  tuples: a DominanceSet / SDominanceSet
+//                           snapshot() (lossless site failover)
+//   fullsync  ("DDS_FSYN")  slots, one per site       (baseline/)
+//   bottom-s  ("DDS_BSPL")  [sample_size] tuples      (baseline/)
+// A parser accepts an image only if its body is consumed exactly. The
+// baseline overloads are found by the ensemble templates below through
+// argument-dependent lookup.
 // A sharded deployment's coordinator ensemble is simply one image per
 // shard (checkpoint_ensemble / restore_ensemble below): shards are
 // independent protocol instances, so per-shard images compose without
@@ -62,13 +65,14 @@
 #include "net/transport.h"
 #include "obs/trace.h"
 #include "treap/dominance_set.h"
+#include "util/le_bytes.h"
 
 namespace dds::core {
 
 /// Serialized coordinator image.
 using CheckpointImage = std::vector<std::uint8_t>;
 
-// ---- shared byte-level helpers (protocol image writers build on these;
+// ---- the one image codec (protocol image writers build on it;
 // ---- baseline/baseline_checkpoint.cpp is the other user) -------------
 namespace ckpt {
 
@@ -86,28 +90,35 @@ inline constexpr std::uint64_t kCandidateMagic = 0x4444535F43414E44ULL;  // "DDS
 inline constexpr std::uint64_t kFullSyncMagic = 0x4444535F4653594EULL;   // "DDS_FSYN"
 inline constexpr std::uint64_t kBottomSMagic = 0x4444535F4253504CULL;    // "DDS_BSPL"
 
-/// Appends one little-endian u64.
-void put_u64(CheckpointImage& out, std::uint64_t value);
+/// Starts an image: [magic][version]. Append the body with util::put_le
+/// and the body codecs below, then seal().
+CheckpointImage begin(std::uint64_t magic);
 
-/// Reads one little-endian u64 at `pos` (advancing it), or nullopt if
-/// fewer than 8 bytes remain.
-std::optional<std::uint64_t> get_u64(const CheckpointImage& in,
-                                     std::size_t& pos);
-
-/// FNV-1a over image[begin, end).
-std::uint64_t fnv1a(const CheckpointImage& in, std::size_t begin,
-                    std::size_t end);
-
-/// Seals a finished v2 body by appending the trailing checksum. Call
+/// Seals a finished body by appending the trailing checksum. Call
 /// exactly once, after the last body word.
 void seal(CheckpointImage& out);
 
-/// Validates `version` (must be kVersion) and the trailing checksum.
-/// Returns where the body ends (8 bytes before the image end), or
-/// nullopt for an unknown version / checksum mismatch / image too short
-/// to hold its checksum.
-std::optional<std::size_t> body_end(const CheckpointImage& image,
-                                    std::uint64_t version);
+/// Checks the magic, the version and the trailing checksum; returns a
+/// reader over the body (between the version and the checksum), or
+/// nullopt if any check fails. A parser reads its fields from it and
+/// then requires that nothing is left. The reader views `image`, which
+/// must outlive it.
+std::optional<util::ByteReader> open(const CheckpointImage& image,
+                                     std::uint64_t magic);
+
+/// Tuple-list body: [count][element, hash, expiry] * count. The
+/// readers reject a count the remaining bytes cannot hold before
+/// sizing anything by it.
+void put_tuples(CheckpointImage& out,
+                const std::vector<treap::Candidate>& items);
+std::optional<std::vector<treap::Candidate>> get_tuples(util::ByteReader& in);
+
+/// Slot-table body: [n][has, element, hash, expiry] * n; an empty slot
+/// is written as four words with has = 0 and the rest zero.
+void put_slots(CheckpointImage& out,
+               const std::vector<std::optional<treap::Candidate>>& slots);
+std::optional<std::vector<std::optional<treap::Candidate>>> get_slots(
+    util::ByteReader& in);
 
 }  // namespace ckpt
 
@@ -128,13 +139,6 @@ struct CheckpointContents {
   std::uint64_t threshold = 0;
 };
 std::optional<CheckpointContents> parse_checkpoint(const CheckpointImage& image);
-
-/// Builds a fresh coordinator from an image. Returns nullptr if the
-/// image is malformed. `instance` / `eager_threshold` as in the normal
-/// constructor.
-std::unique_ptr<InfiniteWindowCoordinator> restore_coordinator(
-    sim::NodeId id, const CheckpointImage& image, std::uint32_t instance = 0,
-    bool eager_threshold = false);
 
 /// Writes an image's sample + threshold into an existing coordinator (a
 /// fresh deployment's shard). Returns false — leaving the coordinator
@@ -158,11 +162,6 @@ CheckpointImage checkpoint(const MultiSlidingCoordinator& coordinator);
 /// tuple per protocol copy.
 std::optional<std::vector<std::optional<treap::Candidate>>>
 parse_sliding_checkpoint(const CheckpointImage& image);
-
-/// Builds a fresh sliding coordinator from an image (nullptr if
-/// malformed).
-std::unique_ptr<MultiSlidingCoordinator> restore_sliding_coordinator(
-    sim::NodeId id, const CheckpointImage& image);
 
 /// Writes an image's tuples into an existing coordinator (a fresh
 /// deployment's shard). Returns false — leaving the coordinator

@@ -128,11 +128,9 @@ void SocketTransport::deliver_frame(const wire::Frame& frame) {
     case wire::FrameKind::kFin:
       fins_.push_back(frame.fin);
       return;
-    case wire::FrameKind::kImage:
     case wire::FrameKind::kHello:
     case wire::FrameKind::kWelcome:
-      // Handshake frames are consumed by the link layers; images never
-      // ride the message transport today.
+      // Handshake frames are consumed by the link layers.
       throw std::runtime_error(
           "SocketTransport: unexpected frame kind on data path");
   }

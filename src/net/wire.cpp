@@ -1,83 +1,21 @@
 #include "net/wire.h"
 
-#include <cstring>
 #include <stdexcept>
 
-// For the five image magics and the integrity check the decoder re-runs
-// on kImage payloads. The checkpoint module owns image formats; the
-// wire layer only frames them. (Both live in the one dds library, so
-// this cross-layer call is a plain function call, not a dependency
-// cycle: checkpoint.h never includes wire.h.)
-#include "core/checkpoint.h"
+#include "util/le_bytes.h"
 
 namespace dds::net::wire {
 
 namespace {
 
-void put_u8(Buffer& out, std::uint8_t v) { out.push_back(v); }
+using util::ByteReader;
+using util::put_le;
 
-void put_u16(Buffer& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(Buffer& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(Buffer& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-/// Bounds-checked little-endian reads over the frame being decoded.
-/// Every getter returns nullopt instead of reading past `end`.
-struct Cursor {
-  std::span<const std::uint8_t> in;
-  std::size_t pos;
-  std::size_t end;
-
-  std::optional<std::uint8_t> u8() {
-    if (pos + 1 > end) return std::nullopt;
-    return in[pos++];
-  }
-  std::optional<std::uint16_t> u16() {
-    if (pos + 2 > end) return std::nullopt;
-    std::uint16_t v = static_cast<std::uint16_t>(in[pos]) |
-                      static_cast<std::uint16_t>(in[pos + 1]) << 8;
-    pos += 2;
-    return v;
-  }
-  std::optional<std::uint32_t> u32() {
-    if (pos + 4 > end) return std::nullopt;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(in[pos + i]) << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  std::optional<std::uint64_t> u64() {
-    if (pos + 8 > end) return std::nullopt;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(in[pos + i]) << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-};
-
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+/// Frame kinds a decoder accepts; 3 (the retired image frame) is not one.
+bool known_kind(std::uint8_t kind) {
+  return kind >= static_cast<std::uint8_t>(FrameKind::kMessage) &&
+         kind <= static_cast<std::uint8_t>(FrameKind::kFin) &&
+         kind != 3;
 }
 
 /// Appends header + payload + checksum. `payload` writers run between
@@ -85,11 +23,11 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
 template <typename PayloadWriter>
 void encode_frame(FrameKind kind, Buffer& out, PayloadWriter&& write) {
   const std::size_t start = out.size();
-  put_u32(out, kMagic);
-  put_u8(out, kVersion);
-  put_u8(out, static_cast<std::uint8_t>(kind));
-  put_u16(out, 0);  // reserved
-  put_u32(out, 0);  // length patched below
+  put_le<std::uint32_t>(out, kMagic);
+  put_le<std::uint8_t>(out, kVersion);
+  put_le(out, static_cast<std::uint8_t>(kind));
+  put_le<std::uint16_t>(out, 0);  // reserved
+  put_le<std::uint32_t>(out, 0);  // length patched below
   const std::size_t payload_start = out.size();
   write(out);
   const std::size_t payload = out.size() - payload_start;
@@ -99,18 +37,19 @@ void encode_frame(FrameKind kind, Buffer& out, PayloadWriter&& write) {
   for (int i = 0; i < 4; ++i) {
     out[start + 8 + i] = static_cast<std::uint8_t>(payload >> (8 * i));
   }
-  put_u64(out, fnv1a({out.data() + start, out.size() - start}));
+  put_le<std::uint64_t>(
+      out, util::fnv1a({out.data() + start, out.size() - start}));
 }
 
 void put_message_body(Buffer& out, const sim::Message& msg) {
-  put_u8(out, static_cast<std::uint8_t>(msg.type));
-  put_u32(out, msg.instance);
-  put_u64(out, msg.a);
-  put_u64(out, msg.b);
-  put_u64(out, msg.c);
+  put_le(out, static_cast<std::uint8_t>(msg.type));
+  put_le<std::uint32_t>(out, msg.instance);
+  put_le<std::uint64_t>(out, msg.a);
+  put_le<std::uint64_t>(out, msg.b);
+  put_le<std::uint64_t>(out, msg.c);
 }
 
-std::optional<sim::Message> get_message_body(Cursor& c, sim::NodeId from,
+std::optional<sim::Message> get_message_body(ByteReader& c, sim::NodeId from,
                                              sim::NodeId to) {
   const auto type = c.u8();
   const auto instance = c.u32();
@@ -131,13 +70,13 @@ std::optional<sim::Message> get_message_body(Cursor& c, sim::NodeId from,
 }
 
 void put_hello_body(Buffer& out, const Hello& hello) {
-  put_u32(out, hello.node_id);
-  put_u32(out, hello.num_sites);
-  put_u32(out, hello.num_coordinators);
-  put_u64(out, hello.cookie);
+  put_le<std::uint32_t>(out, hello.node_id);
+  put_le<std::uint32_t>(out, hello.num_sites);
+  put_le<std::uint32_t>(out, hello.num_coordinators);
+  put_le<std::uint64_t>(out, hello.cookie);
 }
 
-std::optional<Hello> get_hello_body(Cursor& c) {
+std::optional<Hello> get_hello_body(ByteReader& c) {
   const auto node = c.u32();
   const auto sites = c.u32();
   const auto coords = c.u32();
@@ -150,8 +89,8 @@ std::optional<Hello> get_hello_body(Cursor& c) {
 
 void encode_message(const sim::Message& msg, Buffer& out) {
   encode_frame(FrameKind::kMessage, out, [&](Buffer& b) {
-    put_u32(b, msg.from);
-    put_u32(b, msg.to);
+    put_le<std::uint32_t>(b, msg.from);
+    put_le<std::uint32_t>(b, msg.to);
     put_message_body(b, msg);
   });
 }
@@ -166,20 +105,10 @@ void encode_batch(std::span<const sim::Message> msgs, Buffer& out) {
     }
   }
   encode_frame(FrameKind::kBatch, out, [&](Buffer& b) {
-    put_u32(b, msgs.front().from);
-    put_u32(b, msgs.front().to);
-    put_u32(b, static_cast<std::uint32_t>(msgs.size()));
+    put_le<std::uint32_t>(b, msgs.front().from);
+    put_le<std::uint32_t>(b, msgs.front().to);
+    put_le<std::uint32_t>(b, static_cast<std::uint32_t>(msgs.size()));
     for (const sim::Message& msg : msgs) put_message_body(b, msg);
-  });
-}
-
-void encode_image(std::span<const std::uint8_t> image, Buffer& out) {
-  const core::CheckpointImage copy(image.begin(), image.end());
-  if (!core::verify_checkpoint_image(copy)) {
-    throw std::invalid_argument("wire: refusing to frame a corrupt image");
-  }
-  encode_frame(FrameKind::kImage, out, [&](Buffer& b) {
-    b.insert(b.end(), image.begin(), image.end());
   });
 }
 
@@ -195,14 +124,14 @@ void encode_welcome(const Hello& hello, Buffer& out) {
 
 void encode_fin(const Fin& fin, Buffer& out) {
   encode_frame(FrameKind::kFin, out, [&](Buffer& b) {
-    put_u32(b, fin.node_id);
-    put_u64(b, fin.messages_sent);
+    put_le<std::uint32_t>(b, fin.node_id);
+    put_le<std::uint64_t>(b, fin.messages_sent);
   });
 }
 
 std::optional<Frame> decode_frame(std::span<const std::uint8_t> in,
                                   std::size_t& pos) {
-  Cursor c{in, pos, in.size()};
+  ByteReader c{in, pos, in.size()};
   const auto magic = c.u32();
   const auto version = c.u8();
   const auto kind_byte = c.u8();
@@ -211,22 +140,18 @@ std::optional<Frame> decode_frame(std::span<const std::uint8_t> in,
   if (!magic || !version || !kind_byte || !reserved || !length) {
     return std::nullopt;
   }
-  if (*magic != kMagic || *version != kVersion || *reserved != 0 ||
-      *length > kMaxPayload) {
-    return std::nullopt;
-  }
-  if (*kind_byte < static_cast<std::uint8_t>(FrameKind::kMessage) ||
-      *kind_byte > static_cast<std::uint8_t>(FrameKind::kFin)) {
+  if (*magic != kMagic || *version != kVersion || !known_kind(*kind_byte) ||
+      *reserved != 0 || *length > kMaxPayload) {
     return std::nullopt;
   }
   const std::size_t payload_start = c.pos;
   const std::size_t payload_end = payload_start + *length;
   if (payload_end + kChecksumBytes > in.size()) return std::nullopt;
   {
-    Cursor sum{in, payload_end, in.size()};
+    ByteReader sum{in, payload_end, in.size()};
     const auto stored = sum.u64();
     if (!stored ||
-        *stored != fnv1a({in.data() + pos, payload_end - pos})) {
+        *stored != util::fnv1a({in.data() + pos, payload_end - pos})) {
       return std::nullopt;
     }
   }
@@ -262,13 +187,6 @@ std::optional<Frame> decode_frame(std::span<const std::uint8_t> in,
       }
       break;
     }
-    case FrameKind::kImage: {
-      frame.image.assign(in.begin() + static_cast<std::ptrdiff_t>(c.pos),
-                         in.begin() + static_cast<std::ptrdiff_t>(payload_end));
-      c.pos = payload_end;
-      if (!core::verify_checkpoint_image(frame.image)) return std::nullopt;
-      break;
-    }
     case FrameKind::kHello:
     case FrameKind::kWelcome: {
       auto hello = get_hello_body(c);
@@ -300,13 +218,7 @@ bool incomplete_prefix(std::span<const std::uint8_t> in, std::size_t pos) {
     }
   }
   if (have >= 5 && in[pos + 4] != kVersion) return false;
-  if (have >= 6) {
-    const std::uint8_t kind = in[pos + 5];
-    if (kind < static_cast<std::uint8_t>(FrameKind::kMessage) ||
-        kind > static_cast<std::uint8_t>(FrameKind::kFin)) {
-      return false;
-    }
-  }
+  if (have >= 6 && !known_kind(in[pos + 5])) return false;
   if (have >= 7 && in[pos + 6] != 0) return false;  // reserved
   if (have >= 8 && in[pos + 7] != 0) return false;
   if (have < kHeaderBytes) return true;  // plausible partial header

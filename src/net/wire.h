@@ -1,9 +1,10 @@
 // The binary wire format — what actually crosses a socket.
 //
 // Everything the simulated transports pass around as in-memory structs
-// (protocol Messages, site->coordinator batches, checkpoint images, and
-// the connection handshake) serializes to one self-delimiting frame
-// shape, styled after the v2 checkpoint images (core/checkpoint.h):
+// (protocol Messages, site->coordinator batches, and the connection
+// handshake) serializes to one self-delimiting frame shape, written and
+// read with the same little-endian primitives and FNV-1a seal as the
+// checkpoint images (util/le_bytes.h):
 //
 //   [magic u32][version u8][kind u8][reserved u16]
 //   [length u32 = payload bytes][payload ...][fnv1a u64 over all prior]
@@ -23,10 +24,8 @@
 //              cost model (12 + 29n) deliberately echoes
 //              batch_wire_bytes (8 + 29n logical bytes) so abl16 can
 //              compare real frame bytes to the paper-model prediction
-//   kImage     one checkpoint image, any of the five kinds
-//              (infinite / sliding / candidate-set / fullsync /
-//              bottom-s; the inner image's own magic, version, and
-//              checksum are re-verified at decode)
+//   (kind 3)   retired — it once framed checkpoint images, which no
+//              transport sends; a frame carrying it is rejected
 //   kHello     connection handshake: who I am, what topology I expect
 //   kWelcome   handshake accept (echoes the coordinator's view)
 //   kFin       end-of-stream marker a site sends when its arrivals are
@@ -60,14 +59,14 @@ inline constexpr std::size_t kChecksumBytes = 8;
 
 /// Hard upper bound on a frame's payload, enforced by the decoder
 /// before it trusts the length field: a corrupted length can never make
-/// a reader attempt a multi-gigabyte allocation. Checkpoint images are
-/// the largest payloads and stay far below this.
+/// a reader attempt a multi-gigabyte allocation. Batches are the
+/// largest payloads and stay far below this.
 inline constexpr std::uint32_t kMaxPayload = 1u << 24;
 
 enum class FrameKind : std::uint8_t {
   kMessage = 1,
   kBatch = 2,
-  kImage = 3,
+  // 3 is retired (it framed checkpoint images) and stays unassigned.
   kHello = 4,
   kWelcome = 5,
   kFin = 6,
@@ -103,8 +102,6 @@ struct Frame {
   FrameKind kind = FrameKind::kMessage;
   /// kMessage (size 1) / kBatch (size >= 1, shared from/to).
   std::vector<sim::Message> msgs;
-  /// kImage: the inner checkpoint image, already integrity-verified.
-  Buffer image;
   Hello hello;  ///< kHello / kWelcome
   Fin fin;      ///< kFin
 };
@@ -117,11 +114,6 @@ void encode_message(const sim::Message& msg, Buffer& out);
 /// the Batcher's flush invariant; throws std::invalid_argument
 /// otherwise.
 void encode_batch(std::span<const sim::Message> msgs, Buffer& out);
-
-/// `image` must be a valid checkpoint image of one of the five known
-/// kinds (core::verify_checkpoint_image); throws std::invalid_argument
-/// otherwise — a process never puts a corrupt image on the wire.
-void encode_image(std::span<const std::uint8_t> image, Buffer& out);
 
 void encode_hello(const Hello& hello, Buffer& out);
 void encode_welcome(const Hello& hello, Buffer& out);
@@ -143,8 +135,8 @@ constexpr std::size_t message_frame_bytes() noexcept {
 /// past the frame and returns it; on ANY malformation (short buffer,
 /// wrong magic, unknown version or kind, oversized or inconsistent
 /// length, checksum mismatch, invalid message type, batch with mixed
-/// routing, payload bytes left over, corrupt inner image) returns
-/// nullopt and leaves `pos` untouched.
+/// routing, payload bytes left over) returns nullopt and leaves `pos`
+/// untouched.
 std::optional<Frame> decode_frame(std::span<const std::uint8_t> in,
                                   std::size_t& pos);
 

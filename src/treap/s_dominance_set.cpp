@@ -340,9 +340,11 @@ void SDominanceSet::bottom_s_valid_after(sim::Slot min_expiry,
   bottom_s_valid_after(min_expiry, s_, out);
 }
 
-void SDominanceSet::bottom_s_valid_after(sim::Slot min_expiry,
-                                         std::size_t count,
-                                         std::vector<Candidate>& out) const {
+// Cache-line aligned: with this hot query at offset 32 mod 64 instead of
+// 16, perfbench sliding_exact_enron read query p50 +26% and p99 +20%.
+__attribute__((aligned(64))) void SDominanceSet::bottom_s_valid_after(
+    sim::Slot min_expiry, std::size_t count,
+    std::vector<Candidate>& out) const {
   const auto first_valid = std::partition_point(
       items_.begin() + static_cast<std::ptrdiff_t>(head_), items_.end(),
       [min_expiry](const Candidate& c) { return c.expiry <= min_expiry; });

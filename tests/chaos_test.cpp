@@ -25,6 +25,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -41,6 +43,7 @@
 #include "net/sim_network.h"
 #include "sim/chaos.h"
 #include "sim/sources.h"
+#include "util/le_bytes.h"
 #include "util/rng.h"
 
 namespace dds {
@@ -607,81 +610,265 @@ TEST(Batcher, RebindFlushesSurvivorsAndCountsStranded) {
 
 // -------------------- checkpoint image hardening ----------------------
 
+/// Re-seals an image after deliberate tampering, so a parser's own
+/// checks (not the checksum) are what must reject it.
+core::CheckpointImage resealed(core::CheckpointImage image) {
+  image.resize(image.size() - 8);
+  util::put_le(image, util::fnv1a(image));
+  return image;
+}
+
+/// Damage the image envelope must catch: every truncation length, every
+/// single-bit flip, a wrong magic (raw and re-sealed), a wrong version
+/// (re-sealed) and a trailing byte.
+std::vector<core::CheckpointImage> envelope_damage(
+    const core::CheckpointImage& good) {
+  std::vector<core::CheckpointImage> bad;
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    bad.emplace_back(good.begin(), good.begin() + static_cast<long>(len));
+  }
+  for (std::size_t byte = 0; byte < good.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bad.push_back(good);
+      bad.back()[byte] ^= static_cast<std::uint8_t>(1u << bit);
+    }
+  }
+  auto wrong_magic = good;
+  wrong_magic[0] ^= 0xFF;
+  bad.push_back(wrong_magic);
+  bad.push_back(resealed(wrong_magic));
+  auto wrong_version = good;
+  wrong_version[8] = core::ckpt::kVersion + 1;
+  bad.push_back(resealed(wrong_version));
+  auto trailing = good;
+  trailing.push_back(0);
+  bad.push_back(trailing);
+  return bad;
+}
+
+/// Re-sealed body damage: the envelope verifies, so only the body
+/// readers' count bounds and the "nothing left" rule can reject it. The
+/// element count is the u64 at `count_at`.
+std::vector<core::CheckpointImage> body_damage(
+    const core::CheckpointImage& good, std::size_t count_at) {
+  const std::size_t checksum_at = good.size() - 8;
+  std::vector<core::CheckpointImage> bad;
+  auto extra_word = good;
+  extra_word.insert(extra_word.begin() + static_cast<long>(checksum_at), 8, 0);
+  bad.push_back(resealed(extra_word));
+  auto short_word = good;
+  short_word.erase(short_word.begin() + static_cast<long>(checksum_at - 8),
+                   short_word.begin() + static_cast<long>(checksum_at));
+  bad.push_back(resealed(short_word));
+  auto huge_count = good;
+  for (int i = 0; i < 8; ++i) huge_count[count_at + i] = 0xFF;
+  bad.push_back(resealed(huge_count));
+  auto one_more = good;
+  one_more[count_at] += 1;  // counts here stay far below 255
+  bad.push_back(resealed(one_more));
+  return bad;
+}
+
+std::vector<std::uint64_t> words(const std::vector<Candidate>& items) {
+  std::vector<std::uint64_t> out;
+  for (const auto& c : items) {
+    out.insert(out.end(),
+               {c.element, c.hash, static_cast<std::uint64_t>(c.expiry)});
+  }
+  return out;
+}
+
+/// One row per image kind: a good image from a live system, and a
+/// separate target of the same shape that a rejected image must leave
+/// exactly as it was.
+struct ImageKind {
+  const char* name;
+  core::CheckpointImage good;
+  std::size_t count_at;  ///< byte offset of the body's element count
+  std::function<bool(const core::CheckpointImage&)> parses;
+  std::function<bool(const core::CheckpointImage&)> restore;
+  std::function<std::vector<std::uint64_t>()> state;
+};
+
 TEST(CheckpointHardening, EveryImageKindRejectsDamageUntouched) {
   core::SlidingSystemConfig config;
   config.num_sites = 3;
   config.window = 15;
   config.sample_size = 2;
-  baseline::BottomSSlidingSystem bottoms(config);
+  const core::SystemConfig infinite_config{3, 4};
+  core::InfiniteSystem infinite(infinite_config);
+  core::SlidingSystem sliding(config);
   baseline::FullSyncSlidingSystem fullsync(config);
+  baseline::BottomSSlidingSystem bottoms(config);
+  core::InfiniteSystem infinite_target(infinite_config);
+  core::SlidingSystem sliding_target(config);
+  baseline::FullSyncSlidingSystem fullsync_target(config);
+  baseline::BottomSSlidingSystem bottoms_target(config);
   util::Xoshiro256StarStar rng(47);
   for (sim::Slot t = 0; t < 40; ++t) {
     const auto xs = random_slot(rng, 3, 50);
-    feed(bottoms, t, xs);
+    feed(infinite, t, xs);
+    feed(sliding, t, xs);
     feed(fullsync, t, xs);
+    feed(bottoms, t, xs);
   }
-  const auto damage_cases = [](core::CheckpointImage good) {
-    std::vector<core::CheckpointImage> bad;
-    auto truncated = good;
-    truncated.pop_back();
-    bad.push_back(truncated);                       // truncated tail
-    bad.push_back({good.begin(), good.begin() + 8});  // truncated body
-    auto flipped = good;
-    flipped[flipped.size() / 2] ^= 0x40;
-    bad.push_back(flipped);                         // bit-flipped body
-    auto wrong_magic = good;
-    wrong_magic[0] ^= 0xFF;
-    bad.push_back(wrong_magic);                     // not ours
-    bad.push_back({});                              // empty
-    auto trailing = good;
-    trailing.push_back(0);
-    bad.push_back(trailing);                        // trailing junk
-    return bad;
+  // The targets see other elements, so a restore would show.
+  constexpr sim::Slot kNow = 12;
+  for (sim::Slot t = 0; t < kNow; ++t) {
+    auto xs = random_slot(rng, 3, 50);
+    for (auto& x : xs) x.second += 1000;
+    feed(infinite_target, t, xs);
+    feed(sliding_target, t, xs);
+    feed(fullsync_target, t, xs);
+    feed(bottoms_target, t, xs);
+  }
+  auto& site_target = bottoms_target.site(0);
+
+  const std::vector<ImageKind> kinds{
+      {"infinite", core::checkpoint(infinite.coordinator()), 24,
+       [](const auto& image) { return core::parse_checkpoint(image).has_value(); },
+       [&](const auto& image) {
+         return core::restore_into(infinite_target.coordinator_mut(), image);
+       },
+       [&] {
+         auto w = infinite_target.sample().elements();
+         w.push_back(infinite_target.coordinator().threshold());
+         return w;
+       }},
+      {"sliding", core::checkpoint(sliding.coordinator()), 16,
+       [](const auto& image) {
+         return core::parse_sliding_checkpoint(image).has_value();
+       },
+       [&](const auto& image) {
+         return core::restore_into(sliding_target.coordinator_mut(), image);
+       },
+       [&] {
+         auto w = sliding_target.coordinator().sample(kNow);
+         const auto own = core::checkpoint(sliding_target.coordinator());
+         w.insert(w.end(), own.begin(), own.end());
+         return w;
+       }},
+      {"candidate",
+       core::checkpoint_candidates(bottoms.site(0).snapshot_candidates()), 16,
+       [](const auto& image) { return core::parse_candidates(image).has_value(); },
+       [&](const auto& image) {
+         const auto items = core::parse_candidates(image);
+         if (items) site_target.restore_candidates(*items);
+         return items.has_value();
+       },
+       [&] { return words(site_target.snapshot_candidates()); }},
+      {"fullsync", baseline::checkpoint(fullsync.coordinator()), 16,
+       [](const auto& image) {
+         return baseline::parse_fullsync_checkpoint(image).has_value();
+       },
+       [&](const auto& image) {
+         return baseline::restore_into(fullsync_target.coordinator_mut(), image);
+       },
+       [&] {
+         const auto answer = fullsync_target.coordinator().sample(kNow);
+         auto w = answer ? words({*answer}) : std::vector<std::uint64_t>{};
+         const auto own = baseline::checkpoint(fullsync_target.coordinator());
+         w.insert(w.end(), own.begin(), own.end());
+         return w;
+       }},
+      {"bottom-s", baseline::checkpoint(bottoms.coordinator()), 24,
+       [](const auto& image) {
+         return baseline::parse_bottom_s_checkpoint(image).has_value();
+       },
+       [&](const auto& image) {
+         return baseline::restore_into(bottoms_target.coordinator_mut(), image);
+       },
+       [&] {
+         auto w = words(bottoms_target.coordinator().sample(kNow));
+         const auto own = baseline::checkpoint(bottoms_target.coordinator());
+         w.insert(w.end(), own.begin(), own.end());
+         return w;
+       }},
   };
 
-  const auto fs_image = baseline::checkpoint(fullsync.coordinator());
-  EXPECT_TRUE(core::verify_checkpoint_image(fs_image));
-  const auto fs_before = fullsync.coordinator().sample(40);
-  for (const auto& bad : damage_cases(fs_image)) {
-    EXPECT_FALSE(core::verify_checkpoint_image(bad));
-    EXPECT_EQ(baseline::parse_fullsync_checkpoint(bad), std::nullopt);
-    EXPECT_FALSE(baseline::restore_into(fullsync.coordinator_mut(), bad));
-    EXPECT_EQ(fullsync.coordinator().sample(40), fs_before);  // untouched
-  }
-
-  const auto bs_image = baseline::checkpoint(bottoms.coordinator());
-  EXPECT_TRUE(core::verify_checkpoint_image(bs_image));
-  const auto bs_before = bottoms.coordinator().sample(40);
-  for (const auto& bad : damage_cases(bs_image)) {
-    EXPECT_FALSE(core::verify_checkpoint_image(bad));
-    EXPECT_EQ(baseline::parse_bottom_s_checkpoint(bad), std::nullopt);
-    EXPECT_FALSE(baseline::restore_into(bottoms.coordinator_mut(), bad));
-    EXPECT_EQ(bottoms.coordinator().sample(40), bs_before);
-  }
-
-  const auto cand_image = core::checkpoint_candidates(
-      bottoms.site(0).snapshot_candidates());
-  EXPECT_TRUE(core::verify_checkpoint_image(cand_image));
-  for (const auto& bad : damage_cases(cand_image)) {
-    EXPECT_FALSE(core::verify_checkpoint_image(bad));
-    EXPECT_EQ(core::parse_candidates(bad), std::nullopt);
+  for (const ImageKind& kind : kinds) {
+    SCOPED_TRACE(kind.name);
+    ASSERT_TRUE(core::verify_checkpoint_image(kind.good));
+    ASSERT_TRUE(kind.parses(kind.good));
+    const auto before = kind.state();
+    ASSERT_FALSE(before.empty());
+    for (const auto& bad : envelope_damage(kind.good)) {
+      ASSERT_FALSE(core::verify_checkpoint_image(bad));
+      ASSERT_FALSE(kind.parses(bad));
+      ASSERT_FALSE(kind.restore(bad));
+      ASSERT_EQ(kind.state(), before);
+    }
+    for (const auto& bad : body_damage(kind.good, kind.count_at)) {
+      ASSERT_TRUE(core::verify_checkpoint_image(bad));  // envelope intact
+      ASSERT_FALSE(kind.parses(bad));
+      ASSERT_FALSE(kind.restore(bad));
+      ASSERT_EQ(kind.state(), before);
+    }
+    // The harness can see a restore: the good image does change the
+    // target.
+    ASSERT_TRUE(kind.restore(kind.good));
+    EXPECT_NE(kind.state(), before);
   }
 }
 
-TEST(CheckpointHardening, VersionOneImagesStillParse) {
+/// Test-local little-endian image writer, independent of the codec.
+core::CheckpointImage le_words(std::initializer_list<std::uint64_t> words) {
+  core::CheckpointImage out;
+  for (const std::uint64_t w : words) {
+    for (int b = 0; b < 8; ++b) {
+      out.push_back(static_cast<std::uint8_t>(w >> (8 * b)));
+    }
+  }
+  return out;
+}
+
+TEST(CheckpointHardening, GoldenBytesPerKind) {
+  // One small hand-built image per kind, pinned byte for byte
+  // (checksums included): a codec change that moves any byte fails here.
+  core::InfiniteWindowCoordinator infinite(0, 3);
+  infinite.restore({{7, 0x70}, {9, 0x90}}, 0x90);
+  EXPECT_EQ(core::checkpoint(infinite),
+            le_words({0x4444535F434B5054ULL, 2, 3, 2, 7, 0x70, 9, 0x90, 0x90,
+                      0x7812116F1A352954ULL}));
+
+  core::MultiSlidingCoordinator sliding(0, 2);
+  sliding.restore_copy(0, Candidate{5, 0x50, 12});
+  EXPECT_EQ(core::checkpoint(sliding),
+            le_words({0x4444535F53434B50ULL, 2, 2, 1, 5, 0x50, 12, 0, 0, 0, 0,
+                      0x6A7342E6C79C6B64ULL}));
+
+  EXPECT_EQ(core::checkpoint_candidates({{1, 100, 10}, {2, 50, 12}}),
+            le_words({0x4444535F43414E44ULL, 2, 2, 1, 100, 10, 2, 50, 12,
+                      0xAFACBA62A40F60C6ULL}));
+
+  baseline::FullSyncSlidingCoordinator fullsync(0, 2);
+  fullsync.restore_site(1, Candidate{3, 0x30, 8});
+  EXPECT_EQ(baseline::checkpoint(fullsync),
+            le_words({0x4444535F4653594EULL, 2, 2, 0, 0, 0, 0, 1, 3, 0x30, 8,
+                      0x631D52209ECD524DULL}));
+
+  baseline::BottomSSlidingCoordinator bottoms(0, 2);
+  bottoms.restore_pool({{4, 0x40, 9}, {6, 0x20, 11}});
+  EXPECT_EQ(baseline::checkpoint(bottoms),
+            le_words({0x4444535F4253504CULL, 2, 2, 2, 4, 0x40, 9, 6, 0x20, 11,
+                      0x95CCBD13B7F43A5CULL}));
+}
+
+TEST(CheckpointHardening, VersionOneImagesRejected) {
   // Version 1 (pre-checksum) images are no longer accepted: no writer
   // produces them, and accepting them would let an image whose version
   // word reads 1 skip the checksum gate. Every parser rejects them and
   // leaves its target untouched.
   core::CheckpointImage v1;
-  core::ckpt::put_u64(v1, core::ckpt::kCandidateMagic);
-  core::ckpt::put_u64(v1, 1);  // version 1: no trailing checksum
-  core::ckpt::put_u64(v1, 2);  // count
+  const auto put = [&v1](std::uint64_t word) { util::put_le(v1, word); };
+  put(core::ckpt::kCandidateMagic);
+  put(1);  // version 1: no trailing checksum
+  put(2);  // count
   for (const auto& c :
        {Candidate{7, 700, 30}, Candidate{9, 900, 31}}) {
-    core::ckpt::put_u64(v1, c.element);
-    core::ckpt::put_u64(v1, c.hash);
-    core::ckpt::put_u64(v1, c.expiry);
+    put(c.element);
+    put(c.hash);
+    put(static_cast<std::uint64_t>(c.expiry));
   }
   EXPECT_FALSE(core::verify_checkpoint_image(v1));
   EXPECT_EQ(core::parse_candidates(v1), std::nullopt);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <unordered_set>
 #include <vector>
@@ -52,10 +53,10 @@ TEST(Checkpoint, RoundTripPreservesState) {
   EXPECT_EQ(contents->entries.size(), 8u);
   EXPECT_EQ(contents->threshold, coordinator.threshold());
 
-  auto restored = restore_coordinator(1, image);
-  ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->threshold(), coordinator.threshold());
-  EXPECT_EQ(restored->sample().elements(), coordinator.sample().elements());
+  InfiniteWindowCoordinator restored(1, 8);
+  ASSERT_TRUE(restore_into(restored, image));
+  EXPECT_EQ(restored.threshold(), coordinator.threshold());
+  EXPECT_EQ(restored.sample().elements(), coordinator.sample().elements());
 }
 
 TEST(Checkpoint, MalformedImagesRejected) {
@@ -75,16 +76,17 @@ TEST(Checkpoint, MalformedImagesRejected) {
   EXPECT_EQ(parse_checkpoint(padded), std::nullopt);
   // Empty.
   EXPECT_EQ(parse_checkpoint({}), std::nullopt);
-  EXPECT_EQ(restore_coordinator(1, truncated), nullptr);
+  InfiniteWindowCoordinator target(1, 4);
+  EXPECT_FALSE(restore_into(target, truncated));
 }
 
 TEST(Checkpoint, EmptySampleRoundTrips) {
   InfiniteWindowCoordinator coordinator(1, 4);
   const auto image = checkpoint(coordinator);
-  auto restored = restore_coordinator(1, image);
-  ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->sample().size(), 0u);
-  EXPECT_EQ(restored->threshold(), hash::kHashMax);
+  InfiniteWindowCoordinator restored(1, 4);
+  ASSERT_TRUE(restore_into(restored, image));
+  EXPECT_EQ(restored.sample().size(), 0u);
+  EXPECT_EQ(restored.threshold(), hash::kHashMax);
 }
 
 TEST(Failover, RestoredCoordinatorIsValidForCheckpointedPrefix) {
@@ -105,8 +107,8 @@ TEST(Failover, RestoredCoordinatorIsValidForCheckpointedPrefix) {
   ListSource p2(arrivals_of(phase2, kSites, 1000));
   system.run(p2);
 
-  auto restored = restore_coordinator(99, image);
-  ASSERT_NE(restored, nullptr);
+  InfiniteWindowCoordinator restored(99, kS);
+  ASSERT_TRUE(restore_into(restored, image));
   // Oracle over phase 1 only.
   std::set<std::pair<std::uint64_t, Element>> by_hash;
   for (Element e : phase1) by_hash.emplace(system.hash_fn()(e), e);
@@ -116,7 +118,7 @@ TEST(Failover, RestoredCoordinatorIsValidForCheckpointedPrefix) {
     expected.push_back(e);
   }
   std::sort(expected.begin(), expected.end());
-  auto got = restored->sample().elements();
+  auto got = restored.sample().elements();
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, expected);
 }
@@ -163,8 +165,9 @@ TEST(Failover, ResyncRecoversElementsSeenAfterCheckpoint) {
   runner.run(p2);
 
   // Failover: restore from image, re-attach, resync the sites.
-  auto restored = restore_coordinator(bus.coordinator_id(), image);
-  ASSERT_NE(restored, nullptr);
+  auto restored =
+      std::make_unique<InfiniteWindowCoordinator>(bus.coordinator_id(), kS);
+  ASSERT_TRUE(restore_into(*restored, image));
   bus.attach(bus.coordinator_id(), restored.get());
   resync_sites(bus.coordinator_id(), bus);
   EXPECT_EQ(bus.counters().coordinator_to_site -
@@ -211,9 +214,9 @@ TEST(Failover, WithoutResyncPhase2LowHashesStayLost) {
 
   // Did phase 2 change the sample? Only continue if so (otherwise the
   // control is vacuous for this seed — assert it is not).
-  auto restored_only = restore_coordinator(0, image);
-  ASSERT_NE(restored_only, nullptr);
-  ASSERT_NE(restored_only->sample().elements(),
+  InfiniteWindowCoordinator restored_only(0, kS);
+  ASSERT_TRUE(restore_into(restored_only, image));
+  ASSERT_NE(restored_only.sample().elements(),
             system.coordinator().sample().elements())
       << "seed produced no phase-2 sample change; pick another seed";
 }

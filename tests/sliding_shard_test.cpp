@@ -324,9 +324,9 @@ TEST(SlidingCheckpoint, ShardedEnsembleRoundTripsMidWindow) {
   EXPECT_EQ(core::checkpoint_ensemble(restored), images);
 
   // Standalone restore path.
-  const auto standalone = core::restore_sliding_coordinator(99, images[1]);
-  ASSERT_NE(standalone, nullptr);
-  EXPECT_EQ(standalone->copy(0).raw_sample(),
+  core::MultiSlidingCoordinator standalone(99, config.sample_size);
+  ASSERT_TRUE(core::restore_into(standalone, images[1]));
+  EXPECT_EQ(standalone.copy(0).raw_sample(),
             original.coordinator(1).copy(0).raw_sample());
 
   // Malformed images and shape mismatches are rejected.

@@ -2,30 +2,25 @@
 //
 // The load-bearing invariants:
 //   * encode/decode round-trip symmetry for every sim::MsgType protocol
-//     message, batches of every size the Batcher can flush, all five
-//     checkpoint-image kinds, and the handshake/teardown frames.
+//     message, batches of every size the Batcher can flush, and the
+//     handshake/teardown frames.
 //   * A malformed frame is rejected WITHOUT touching the target: the
 //     decoder returns nullopt and leaves the cursor exactly where it
 //     was, for every prefix truncation length, every single-bit flip,
-//     wrong magic/version, nonzero reserved bits, unknown kinds,
-//     inflated lengths, and trailing junk — mirroring the PR 7
-//     CheckpointHardening pattern at the wire layer.
+//     wrong magic/version, nonzero reserved bits, unknown or retired
+//     kinds, inflated lengths, and trailing junk — the
+//     CheckpointHardening pattern, at the wire layer.
 //   * Checksummed-but-semantically-bad payloads (a batch count the
-//     payload cannot hold, an out-of-range message type, a corrupt
-//     inner checkpoint image) are rejected by the payload validators
-//     even when the frame-level checksum is recomputed to match.
+//     payload cannot hold, an out-of-range message type, a zero batch
+//     count) are rejected by the payload validators even when the
+//     frame-level checksum is recomputed to match.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "baseline/baseline_checkpoint.h"
-#include "baseline/baseline_system.h"
-#include "core/checkpoint.h"
-#include "core/system.h"
 #include "net/wire.h"
-#include "sim/sources.h"
 #include "util/rng.h"
 
 namespace dds {
@@ -159,74 +154,6 @@ TEST(WireFormat, RoundTripHandshakeAndFin) {
   EXPECT_EQ(decoded->fin, fin);
 }
 
-/// One real image per checkpoint kind, produced by the actual systems.
-std::vector<core::CheckpointImage> all_image_kinds() {
-  util::Xoshiro256StarStar rng(99);
-  auto feed_random = [&rng](auto& system, sim::Slot t) {
-    std::vector<std::pair<sim::NodeId, stream::Element>> xs;
-    for (int i = 0; i < 4; ++i) {
-      xs.emplace_back(static_cast<sim::NodeId>(rng.next_below(3)),
-                      1 + rng.next_below(200));
-    }
-    sim::SlotSource src(t, xs);
-    system.run(src);
-  };
-
-  core::SystemConfig config;
-  config.num_sites = 3;
-  config.sample_size = 4;
-  core::InfiniteSystem infinite(config);
-  core::SlidingSystem sliding([] {
-    core::SlidingSystemConfig c;
-    c.num_sites = 3;
-    c.window = 20;
-    c.sample_size = 2;
-    return c;
-  }());
-  core::SlidingSystemConfig bcfg;
-  bcfg.num_sites = 3;
-  bcfg.window = 20;
-  bcfg.sample_size = 2;
-  baseline::FullSyncSlidingSystem fullsync(bcfg);
-  baseline::BottomSSlidingSystem bottoms(bcfg);
-  for (sim::Slot t = 0; t < 30; ++t) {
-    feed_random(infinite, t);
-    feed_random(sliding, t);
-    feed_random(fullsync, t);
-    feed_random(bottoms, t);
-  }
-  return {
-      core::checkpoint(infinite.coordinator()),
-      core::checkpoint(sliding.coordinator()),
-      core::checkpoint_candidates(
-          {{1, 100, 10}, {2, 50, 12}, {3, 75, 9}}),
-      baseline::checkpoint(fullsync.coordinator()),
-      baseline::checkpoint(bottoms.coordinator()),
-  };
-}
-
-TEST(WireFormat, RoundTripEveryImageKind) {
-  for (const auto& image : all_image_kinds()) {
-    ASSERT_TRUE(core::verify_checkpoint_image(image));
-    wire::Buffer frame;
-    wire::encode_image(image, frame);
-    std::size_t pos = 0;
-    const auto decoded = wire::decode_frame(frame, pos);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->kind, wire::FrameKind::kImage);
-    EXPECT_EQ(decoded->image, image);
-    EXPECT_EQ(pos, frame.size());
-  }
-}
-
-TEST(WireFormat, ImageEncoderRefusesCorruptImage) {
-  auto image = all_image_kinds().front();
-  image[image.size() / 2] ^= 0x10;
-  wire::Buffer out;
-  EXPECT_THROW(wire::encode_image(image, out), std::invalid_argument);
-  EXPECT_TRUE(out.empty());
-}
-
 // ------------------------------ fuzzing -------------------------------
 
 /// One representative good frame per kind.
@@ -247,12 +174,6 @@ std::vector<wire::Buffer> good_frames() {
     }
     wire::Buffer f;
     wire::encode_batch(msgs, f);
-    frames.push_back(std::move(f));
-  }
-  {
-    wire::Buffer f;
-    wire::encode_image(core::checkpoint_candidates({{5, 9, 2}, {6, 3, 4}}),
-                       f);
     frames.push_back(std::move(f));
   }
   {
@@ -323,6 +244,14 @@ TEST(WireFuzz, WrongMagicVersionReservedAndKindRejected) {
     zero_kind[5] = 0;
     reseal(zero_kind);
     expect_rejected(zero_kind);
+
+    // Kind 3 once framed checkpoint images; it is retired, not reused.
+    wire::Buffer retired_kind = frame;
+    retired_kind[5] = 3;
+    reseal(retired_kind);
+    expect_rejected(retired_kind);
+    EXPECT_FALSE(wire::incomplete_prefix(
+        wire::Buffer(retired_kind.begin(), retired_kind.begin() + 6), 0));
   }
 }
 
@@ -368,21 +297,11 @@ TEST(WireFuzz, ResealedSemanticDamageStillRejected) {
     expect_rejected(bad_type);
   }
   {
-    // Inner checkpoint image damaged, outer frame re-sealed: the
-    // image's own integrity gate still rejects.
-    wire::Buffer frame;
-    wire::encode_image(core::checkpoint_candidates({{1, 2, 3}}), frame);
-    wire::Buffer bad_image = frame;
-    bad_image[wire::kHeaderBytes + 10] ^= 0x04;
-    reseal(bad_image);
-    expect_rejected(bad_image);
-  }
-  {
     // Batch whose declared count is zero.
     std::vector<sim::Message> msgs(1, make_message(sim::MsgType::kReportElement, 3));
-    wire::Buffer frame;
-    wire::encode_batch(msgs, frame);
-    wire::Buffer zero_count = frame;
+    wire::Buffer zero_count;
+    wire::encode_batch(msgs, zero_count);
+    ASSERT_EQ(zero_count.size(), wire::batch_frame_bytes(1));
     for (int i = 0; i < 4; ++i) zero_count[wire::kHeaderBytes + 8 + i] = 0;
     reseal(zero_count);
     expect_rejected(zero_count);

@@ -11,6 +11,15 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build}"
 
+# Layering: the wire layer frames bytes and must not reach up into the
+# protocol modules, so no file under src/net/ includes a core/ or
+# baseline/ header.
+if grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*"(core|baseline)/' \
+    "$repo/src/net"; then
+  echo "ci: src/net/ must not include core/ or baseline/ headers" >&2
+  exit 1
+fi
+
 cmake -B "$build" -S "$repo" -DDDS_BUILD_BENCHES=ON
 cmake --build "$build" -j
 ctest --test-dir "$build" --output-on-failure -j
